@@ -17,7 +17,7 @@
 
 namespace sariadne::ariadne {
 
-class SimTransport final : public Transport, private net::NodeApp {
+class SimTransport : public Transport, private net::NodeApp {
 public:
     explicit SimTransport(net::Topology topology,
                           double per_hop_latency_ms = 2.0)
