@@ -284,7 +284,8 @@ VertexId CapabilityDag::insert(DagEntry entry, matching::DistanceOracle& oracle,
         // Equivalence short-circuit at the root itself.
         if (outcome.semantic_distance == 0) {
             const auto backward = match_up(v);
-            if (backward.matched && backward.semantic_distance == 0) {
+            if (backward.matched && backward.semantic_distance == 0 &&
+                matching::same_input_classes(representative(v), cap, oracle)) {
                 vertices_[v].entries.push_back(std::move(entry));
                 ++live_entries_;
                 return v;
@@ -312,7 +313,9 @@ VertexId CapabilityDag::insert(DagEntry entry, matching::DistanceOracle& oracle,
             if (!outcome.matched) continue;
             if (outcome.semantic_distance == 0) {
                 const auto backward = match_up(child);
-                if (backward.matched && backward.semantic_distance == 0) {
+                if (backward.matched && backward.semantic_distance == 0 &&
+                    matching::same_input_classes(representative(child), cap,
+                                                 oracle)) {
                     vertices_[child].entries.push_back(std::move(entry));
                     ++live_entries_;
                     return child;
@@ -749,10 +752,13 @@ bool CapabilityDag::validate(matching::DistanceOracle& oracle) const {
         for (const VertexId parent : vertex.parents) {
             if (!contains(vertices_[parent].children, v)) return false;
         }
-        // Entries sharing the vertex must be equivalent to the representative.
+        // Entries sharing the vertex must be equivalent to the
+        // representative, with the same provider inputs.
         for (const DagEntry& entry : vertex.entries) {
             if (!matching::equivalent_capabilities(representative(v),
-                                                   entry.capability, oracle)) {
+                                                   entry.capability, oracle) ||
+                !matching::same_input_classes(representative(v),
+                                              entry.capability, oracle)) {
                 return false;
             }
         }

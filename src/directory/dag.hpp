@@ -131,7 +131,8 @@ public:
     const FlatSet<OntologyIndex>& signature() const noexcept { return signature_; }
 
     /// Inserts an advertised capability, merging into an equivalent vertex
-    /// when one exists, otherwise wiring the new vertex between its lowest
+    /// with the same provider inputs (matching::same_input_classes) when
+    /// one exists, otherwise wiring the new vertex between its lowest
     /// matching ancestors and highest matched descendants.
     VertexId insert(DagEntry entry, matching::DistanceOracle& oracle,
                     MatchStats& stats);

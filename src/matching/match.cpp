@@ -1,5 +1,6 @@
 #include "matching/match.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -167,6 +168,27 @@ bool equivalent_capabilities(const ResolvedCapability& a,
     if (!forward.matched || forward.semantic_distance != 0) return false;
     const MatchOutcome backward = match_capability(b, a, oracle);
     return backward.matched && backward.semantic_distance == 0;
+}
+
+bool same_input_classes(const ResolvedCapability& a,
+                        const ResolvedCapability& b, DistanceOracle& oracle) {
+    if (a.inputs.size() != b.inputs.size()) return false;
+    const auto count_class = [&](ConceptRef of,
+                                 const std::vector<ConceptRef>& inputs) {
+        return std::count_if(inputs.begin(), inputs.end(),
+                             [&](ConceptRef other) {
+                                 const auto d = oracle.distance(of, other);
+                                 return d && *d == 0;
+                             });
+    };
+    // Equal sizes plus equal per-class counts for every class of `a` leave
+    // no room for a class only `b` has.
+    for (const ConceptRef input : a.inputs) {
+        if (count_class(input, a.inputs) != count_class(input, b.inputs)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace sariadne::matching

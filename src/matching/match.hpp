@@ -128,4 +128,13 @@ bool equivalent_capabilities(const ResolvedCapability& a,
                              const ResolvedCapability& b,
                              DistanceOracle& oracle);
 
+/// True iff `a` and `b` list the same provider-input concepts the same
+/// number of times, counted by equivalence class. Match sums the distance
+/// over every provider input, so two equivalent capabilities that repeat
+/// an input a different number of times still answer one request at
+/// different distances: a DAG vertex may only hold capabilities that are
+/// equivalent *and* pass this check.
+bool same_input_classes(const ResolvedCapability& a,
+                        const ResolvedCapability& b, DistanceOracle& oracle);
+
 }  // namespace sariadne::matching
