@@ -54,9 +54,8 @@ RunResult run(ariadne::Protocol protocol, std::size_t nodes,
     }
     network.run_for(10000);
 
-    const auto forwards_before = network.traffic().per_type.count("fwd")
-                                     ? network.traffic().per_type.at("fwd")
-                                     : 0;
+    const auto forwards_before =
+        network.traffic().per_type[ariadne::wire::MsgType::kForward];
     std::vector<std::uint64_t> ids;
     for (std::size_t r = 0; r < 20; ++r) {
         const auto client = static_cast<net::NodeId>((r * 17 + 3) % nodes);
@@ -70,9 +69,8 @@ RunResult run(ariadne::Protocol protocol, std::size_t nodes,
 
     RunResult result;
     result.directories = network.directories().size();
-    const auto forwards_after = network.traffic().per_type.count("fwd")
-                                    ? network.traffic().per_type.at("fwd")
-                                    : 0;
+    const auto forwards_after =
+        network.traffic().per_type[ariadne::wire::MsgType::kForward];
     result.forwards_per_request =
         static_cast<double>(forwards_after - forwards_before) /
         static_cast<double>(ids.size());

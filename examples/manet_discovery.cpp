@@ -7,7 +7,12 @@
 // directories; clients discover across the backbone with selective
 // forwarding. The run prints the backbone, every discovery outcome with
 // its end-to-end virtual response time, and the protocol traffic budget.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ariadne/protocol.hpp"
 #include "net/sim_transport.hpp"
@@ -96,7 +101,17 @@ int main() {
                 static_cast<unsigned long long>(traffic.broadcasts),
                 static_cast<unsigned long long>(traffic.link_transmissions),
                 static_cast<unsigned long long>(traffic.bytes_transmitted));
-    for (const auto& [type, count] : traffic.per_type) {
+    // Delivered message types, by name.
+    std::vector<std::pair<std::string, std::uint64_t>> per_type;
+    for (std::size_t i = 0; i < ariadne::wire::kMsgTypeCount; ++i) {
+        const auto type = static_cast<ariadne::wire::MsgType>(i + 1);
+        if (traffic.per_type[type] > 0) {
+            per_type.emplace_back(ariadne::wire::to_string(type),
+                                  traffic.per_type[type]);
+        }
+    }
+    std::sort(per_type.begin(), per_type.end());
+    for (const auto& [type, count] : per_type) {
         std::printf("  %-14s %llu deliveries\n", type.c_str(),
                     static_cast<unsigned long long>(count));
     }

@@ -9,10 +9,10 @@
 // the network-facing contract, wherever a transport implements it.
 #pragma once
 
-#include <any>
+#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
+
+#include "ariadne/wire.hpp"
 
 namespace sariadne::net {
 
@@ -25,14 +25,35 @@ using SimTime = double;
 
 struct Message {
     NodeId source = kNoNode;
-    std::string type;   ///< protocol dispatch tag
-    std::any payload;   ///< protocol-defined content
+    /// The protocol message itself: the simulator moves it unchanged, the
+    /// socket transport frames it with ariadne::wire::encode.
+    ariadne::wire::Payload payload;
     std::uint32_t size_bytes = 0;  ///< modeled wire size (traffic accounting)
     /// Per-send sequence id, assigned by the transport: every unicast or
     /// broadcast initiation gets a fresh id, and a fault-injected duplicate
     /// delivery carries the id of the send it echoes. Receivers deduplicate
     /// on it; retransmissions are distinct sends and get distinct ids.
     std::uint64_t wire_seq = 0;
+
+    ariadne::wire::MsgType type() const noexcept {
+        return ariadne::wire::type_of(payload);
+    }
+};
+
+/// Deliveries per message type: a fixed array indexed by MsgType.
+class PerTypeCounts {
+public:
+    std::uint64_t& operator[](ariadne::wire::MsgType type) noexcept {
+        return counts_[ariadne::wire::index(type)];
+    }
+    std::uint64_t operator[](ariadne::wire::MsgType type) const noexcept {
+        return counts_[ariadne::wire::index(type)];
+    }
+    friend bool operator==(const PerTypeCounts&,
+                           const PerTypeCounts&) = default;
+
+private:
+    std::array<std::uint64_t, ariadne::wire::kMsgTypeCount> counts_{};
 };
 
 /// Traffic counters, aggregated over the run. The simulator fills every
@@ -49,7 +70,7 @@ struct TrafficStats {
     std::uint64_t faults_duplicated = 0; ///< deliveries echoed by the FaultPlan
     std::uint64_t faults_crashes = 0;    ///< scheduled node downs executed
     std::uint64_t faults_recoveries = 0; ///< scheduled node ups executed
-    std::map<std::string, std::uint64_t> per_type;  ///< deliveries by tag
+    PerTypeCounts per_type;              ///< deliveries by message type
 
     /// Replay determinism check: two runs with the same seed and fault
     /// plan must produce identical traffic.

@@ -190,73 +190,36 @@ ErrorInfo parse_error(std::string message) {
 
 }  // namespace
 
-const char* to_string(MsgType type) noexcept {
-    switch (type) {
-        case MsgType::kDirAdv: return "dir-adv";
-        case MsgType::kElectCall: return "elect-call";
-        case MsgType::kElectCandidate: return "elect-cand";
-        case MsgType::kElectAppoint: return "elect-appoint";
-        case MsgType::kPublish: return "pub";
-        case MsgType::kPubAck: return "pub-ack";
-        case MsgType::kPubNack: return "pub-nack";
-        case MsgType::kRequest: return "req";
-        case MsgType::kResponse: return "resp";
-        case MsgType::kForward: return "fwd";
-        case MsgType::kForwardResponse: return "fwd-resp";
-        case MsgType::kSummaryPush: return "summary-push";
-        case MsgType::kSummaryPull: return "summary-pull";
-        case MsgType::kHandover: return "handover";
-        case MsgType::kPublishBatch: return "pub-batch";
-        case MsgType::kSummaryBitmap: return "summary-bitmap";
-        case MsgType::kSummaryDelta: return "summary-delta";
-    }
-    return "unknown";
-}
-
-std::vector<std::uint8_t> encode(const WireMessage& message) {
+std::vector<std::uint8_t> encode(const Payload& message) {
     std::vector<std::uint8_t> out;
     put_u8(out, kMagic0);
     put_u8(out, kMagic1);
     put_u8(out, kVersion);
-    put_u8(out, static_cast<std::uint8_t>(message.type));
-
-    const auto expect_type = [&](MsgType type) {
-        SARIADNE_EXPECTS(message.type == type);
-    };
+    put_u8(out, static_cast<std::uint8_t>(type_of(message)));
 
     std::visit(
         [&](const auto& payload) {
             using P = std::decay_t<decltype(payload)>;
             if constexpr (std::is_same_v<P, DirAdv>) {
-                expect_type(MsgType::kDirAdv);
                 put_u32(out, payload.directory);
             } else if constexpr (std::is_same_v<P, ElectCall>) {
-                expect_type(MsgType::kElectCall);
                 put_u32(out, payload.initiator);
             } else if constexpr (std::is_same_v<P, ElectCandidate>) {
-                expect_type(MsgType::kElectCandidate);
                 put_u32(out, payload.candidate);
                 put_double(out, payload.fitness);
-            } else if constexpr (std::is_same_v<P, ElectAppoint>) {
-                expect_type(MsgType::kElectAppoint);
             } else if constexpr (std::is_same_v<P, PublishDoc>) {
-                expect_type(MsgType::kPublish);
                 put_u64(out, payload.pub_id);
                 put_string(out, payload.document);
             } else if constexpr (std::is_same_v<P, PubAck>) {
-                expect_type(MsgType::kPubAck);
                 put_u64(out, payload.pub_id);
             } else if constexpr (std::is_same_v<P, PubNack>) {
-                expect_type(MsgType::kPubNack);
                 put_u64(out, payload.pub_id);
                 put_string(out, payload.document);
             } else if constexpr (std::is_same_v<P, Request>) {
-                expect_type(MsgType::kRequest);
                 put_u64(out, payload.request_id);
                 put_u32(out, payload.client);
                 put_string(out, payload.document);
             } else if constexpr (std::is_same_v<P, Response>) {
-                expect_type(MsgType::kResponse);
                 put_u64(out, payload.request_id);
                 put_u32(out, static_cast<std::uint32_t>(payload.hits.size()));
                 for (const Hit& hit : payload.hits) put_hit(out, hit);
@@ -264,12 +227,10 @@ std::vector<std::uint8_t> encode(const WireMessage& message) {
                 put_double(out, payload.compute_ms);
                 put_u32(out, payload.directories_asked);
             } else if constexpr (std::is_same_v<P, Forward>) {
-                expect_type(MsgType::kForward);
                 put_u64(out, payload.request_id);
                 put_u32(out, payload.origin);
                 put_string(out, payload.document);
             } else if constexpr (std::is_same_v<P, ForwardResponse>) {
-                expect_type(MsgType::kForwardResponse);
                 put_u64(out, payload.request_id);
                 put_u32(out, static_cast<std::uint32_t>(
                                  payload.per_capability.size()));
@@ -279,41 +240,40 @@ std::vector<std::uint8_t> encode(const WireMessage& message) {
                 }
                 put_double(out, payload.compute_ms);
             } else if constexpr (std::is_same_v<P, SummaryPush>) {
-                expect_type(MsgType::kSummaryPush);
                 put_u32(out, payload.from);
                 put_u32(out, static_cast<std::uint32_t>(
                                  payload.summary_wire.size()));
                 for (const std::uint64_t word : payload.summary_wire) {
                     put_u64(out, word);
                 }
-            } else if constexpr (std::is_same_v<P, SummaryPull>) {
-                expect_type(MsgType::kSummaryPull);
             } else if constexpr (std::is_same_v<P, Handover>) {
-                expect_type(MsgType::kHandover);
                 put_string(out, payload.state_xml);
             } else if constexpr (std::is_same_v<P, PublishBatch>) {
-                expect_type(MsgType::kPublishBatch);
                 put_u32(out, static_cast<std::uint32_t>(payload.docs.size()));
                 for (const PublishDoc& doc : payload.docs) {
                     put_u64(out, doc.pub_id);
                     put_string(out, doc.document);
                 }
             } else if constexpr (std::is_same_v<P, SummaryBitmap>) {
-                expect_type(MsgType::kSummaryBitmap);
                 put_u32(out, payload.from);
                 put_u32(out, static_cast<std::uint32_t>(payload.image.size()));
                 out.insert(out.end(), payload.image.begin(),
                            payload.image.end());
             } else if constexpr (std::is_same_v<P, SummaryDelta>) {
-                expect_type(MsgType::kSummaryDelta);
                 put_u32(out, payload.from);
                 put_u32(out, static_cast<std::uint32_t>(payload.image.size()));
                 out.insert(out.end(), payload.image.begin(),
                            payload.image.end());
             }
+            // ElectAppoint and SummaryPull carry no fields.
         },
-        message.payload);
+        message);
     return out;
+}
+
+std::vector<std::uint8_t> encode(const WireMessage& message) {
+    SARIADNE_EXPECTS(message.type == type_of(message.payload));
+    return encode(message.payload);
 }
 
 Result<WireMessage> try_decode(std::span<const std::uint8_t> bytes) noexcept {

@@ -92,10 +92,10 @@ bool wsdl_conforms(const WsdlDescription& provided,
                    const WsdlDescription& required) {
     for (const auto& wanted : required.operations) {
         const bool found =
-            std::any_of(provided.operations.begin(), provided.operations.end(),
-                        [&](const WsdlOperation& op) {
-                            return operation_conforms(op, wanted);
-                        });
+            std::ranges::any_of(provided.operations,
+                                [&](const WsdlOperation& op) {
+                                    return operation_conforms(op, wanted);
+                                });
         if (!found) return false;
     }
     return true;

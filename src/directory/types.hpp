@@ -19,6 +19,7 @@ struct MatchHit {
     std::string service_name;
     std::string capability_name;
     int semantic_distance = 0;
+    friend bool operator==(const MatchHit&, const MatchHit&) = default;
 };
 
 /// Work counters for one directory operation. `capability_matches` is the

@@ -1,6 +1,6 @@
 // EventLoopTransport — the socket implementation of the Transport seam: a
 // single-threaded poll(2) reactor moving the protocol's messages as
-// wire-codec frames (ariadne/wire_bridge.*) over nonblocking TCP.
+// wire-codec frames (ariadne/wire.*) over nonblocking TCP.
 //
 // Node model: a star. Node 0 is the hosted node (the daemon's directory);
 // connection slots 1..max_connections are remote peers, assigned a NodeId

@@ -5,10 +5,8 @@
 namespace sariadne::net {
 
 void Simulator::set_metrics(obs::MetricsRegistry* registry) {
-    if (registry == nullptr) {
-        metrics_ = Metrics{};
-        return;
-    }
+    metrics_ = Metrics{};
+    if (registry == nullptr) return;
     metrics_.registry = registry;
     metrics_.unicasts = &registry->counter(obs::names::kSimUnicasts);
     metrics_.broadcasts = &registry->counter(obs::names::kSimBroadcasts);
@@ -58,16 +56,19 @@ void Simulator::schedule(SimTime delay_ms, std::function<void()> action) {
 
 void Simulator::deliver(NodeId to, const Message& msg) {
     if (!topology_.is_up(to)) return;  // went down while in flight
+    const ariadne::wire::MsgType type = msg.type();
     ++stats_.deliveries;
-    ++stats_.per_type[msg.type];
+    ++stats_.per_type[type];
     if (metrics_.deliveries != nullptr) {
         metrics_.deliveries->inc();
-        // Per-type counters are looked up on demand: the type universe is
-        // small and stable, and the lookup cost sits on the (simulated)
-        // delivery path, not a real hot path.
-        metrics_.registry
-            ->counter(obs::names::sim_deliveries_by_type(msg.type))
-            .inc();
+        obs::Counter*& by_type =
+            metrics_.deliveries_by_type[ariadne::wire::index(type)];
+        if (by_type == nullptr) {
+            by_type = &metrics_.registry->counter(
+                obs::names::sim_deliveries_by_type(
+                    ariadne::wire::to_string(type)));
+        }
+        by_type->inc();
     }
     if (apps_[to] != nullptr) apps_[to]->on_message(*this, to, msg);
 }

@@ -1,8 +1,9 @@
 // Discrete-event network simulator. Single-threaded, deterministic: events
 // (message deliveries, timers) execute in virtual-time order with a
-// monotonically increasing sequence number breaking ties. Messages are
-// type-tagged std::any payloads; protocol layers (src/ariadne) register a
-// NodeApp per node and communicate exclusively through the simulator.
+// monotonically increasing sequence number breaking ties. Messages carry
+// the protocol's typed payloads (ariadne/wire.hpp) and move unchanged;
+// protocol layers (src/ariadne) register a NodeApp per node and
+// communicate exclusively through the simulator.
 //
 // Radio model: unicast between reachable nodes costs
 //   hops * per_hop_latency_ms
@@ -14,10 +15,10 @@
 // protocol-traffic metrics of the distributed benches.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "ariadne/transport_types.hpp"
@@ -176,6 +177,10 @@ private:
         obs::Counter* faults_recoveries = nullptr;
         obs::Gauge* pending_events = nullptr;
         obs::Gauge* now_ms = nullptr;
+        /// `sim.deliveries{type=...}`, resolved on the first delivery of
+        /// each type so the registry lists only types that were delivered.
+        std::array<obs::Counter*, ariadne::wire::kMsgTypeCount>
+            deliveries_by_type{};
     };
 
     Topology topology_;

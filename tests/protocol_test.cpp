@@ -154,13 +154,11 @@ TEST(SAriadne, BloomFilterPrunesIrrelevantDirectories) {
     // A request over ontology 0 issued near directory 0: the Bloom filter
     // must route it to directory 6 (and possibly 12 on a false positive,
     // but never require flooding).
-    const auto before = network.traffic().per_type.count("fwd")
-                            ? network.traffic().per_type.at("fwd")
-                            : 0;
+    const auto before = network.traffic().per_type[wire::MsgType::kForward];
     const auto id =
         network.discover(1, workload.matching_request_xml(0));
     network.run_for(4000);
-    const auto after = network.traffic().per_type.at("fwd");
+    const auto after = network.traffic().per_type[wire::MsgType::kForward];
 
     const DiscoveryOutcome& outcome = network.outcome(id);
     ASSERT_TRUE(outcome.answered);
@@ -267,11 +265,9 @@ TEST(SAriadne, EmptyForwardRepliesTriggerReactiveSummaryPull) {
         network.run_for(2000);
     }
     const auto& per_type = network.traffic().per_type;
-    ASSERT_TRUE(per_type.count("fwd"));
-    EXPECT_GE(per_type.at("fwd"), 2u);
-    ASSERT_TRUE(per_type.count("summary-pull"));
+    EXPECT_GE(per_type[wire::MsgType::kForward], 2u);
     // At least one pull beyond the election-time exchange.
-    EXPECT_GE(per_type.at("summary-pull"), 2u);
+    EXPECT_GE(per_type[wire::MsgType::kSummaryPull], 2u);
 }
 
 TEST(SAriadne, ForwardedComputeAccumulatesInOutcome) {
@@ -340,7 +336,8 @@ TEST(Retry, ExhaustedRetriesAreConcludedNotLeaked) {
     // down and the request must be concluded, not leaked.
     net::FaultPlan lossy;
     lossy.drop = [](net::NodeId, net::NodeId, const net::Message& msg) {
-        return msg.type == "req" || msg.type == "resp";
+        return msg.type() == wire::MsgType::kRequest ||
+               msg.type() == wire::MsgType::kResponse;
     };
     sim(network).set_faults(std::move(lossy));
     desc::ServiceRequest request;

@@ -8,7 +8,7 @@
 // over an explicit SimTransport, since the former is sugar for the latter.
 #include <gtest/gtest.h>
 
-#include <any>
+#include <variant>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -23,7 +23,6 @@
 
 #include <arpa/inet.h>
 
-#include "ariadne/messages.hpp"
 #include "ariadne/protocol.hpp"
 #include "description/amigos_io.hpp"
 #include "net/sim_transport.hpp"
@@ -206,15 +205,14 @@ TEST(EventLoopTransport, DeliversRequestAndRoutesResponseBack) {
     auto& transport = runner.transport;
     transport.set_delivery_handler([&](NodeId self, const Message& message) {
         ASSERT_EQ(self, 0u);
-        if (message.type != "req") return;
-        const auto& request =
-            std::any_cast<const ariadne::msg::Request&>(message.payload);
-        Message reply;
-        reply.type = "resp";
-        reply.size_bytes = 16;
-        reply.payload = ariadne::msg::Response{
-            request.request_id, {}, true, 0.0, 1};
-        transport.unicast(0, message.source, std::move(reply));
+        const auto* request =
+            std::get_if<ariadne::wire::Request>(&message.payload);
+        if (request == nullptr) return;
+        transport.unicast(
+            0, message.source,
+            Message{.payload = ariadne::wire::Response{request->request_id,
+                                                       {}, true, 0.0, 1},
+                    .size_bytes = 16});
     });
     runner.start();
 
@@ -250,10 +248,34 @@ TEST(EventLoopTransport, RewritesClientFieldToConnectionId) {
 
     ASSERT_TRUE(log.wait_for_size(1, 2000ms));
     const Message delivered = log.at(0);
-    const auto& parsed =
-        std::any_cast<const ariadne::msg::Request&>(delivered.payload);
+    const auto& parsed = std::get<ariadne::wire::Request>(delivered.payload);
     EXPECT_EQ(parsed.client, delivered.source);
     EXPECT_NE(parsed.client, 999u);
+}
+
+TEST(EventLoopTransport, RewritesForwardOriginToConnectionId) {
+    DeliveryLog log;
+    LoopRunner runner{EventLoopConfig{}};
+    runner.transport.set_delivery_handler(
+        [&](NodeId, const Message& message) { log.push(message); });
+    runner.start();
+
+    TestClient client(runner.transport.local_port());
+    ASSERT_TRUE(client.connected());
+    ariadne::wire::WireMessage forward;
+    forward.type = ariadne::wire::MsgType::kForward;
+    // A spoofed origin: the forwarded answer would go to node 999 instead
+    // of the peer that sent the forward. The transport must overwrite it.
+    forward.payload = ariadne::wire::Forward{9, 999, "<request/>"};
+    client.send_frame(forward);
+
+    ASSERT_TRUE(log.wait_for_size(1, 2000ms));
+    const Message delivered = log.at(0);
+    const auto& parsed = std::get<ariadne::wire::Forward>(delivered.payload);
+    EXPECT_EQ(parsed.origin, delivered.source);
+    EXPECT_NE(parsed.origin, 999u);
+    EXPECT_EQ(parsed.request_id, 9u);
+    EXPECT_EQ(parsed.document, "<request/>");
 }
 
 TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
@@ -281,9 +303,8 @@ TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
 
     ASSERT_TRUE(log.wait_for_size(1, 2000ms));
     const Message delivered = log.at(0);
-    EXPECT_EQ(delivered.type, "pub");
-    const auto& doc =
-        std::any_cast<const ariadne::msg::PublishDoc&>(delivered.payload);
+    EXPECT_EQ(delivered.type(), ariadne::wire::MsgType::kPublish);
+    const auto& doc = std::get<ariadne::wire::PublishDoc>(delivered.payload);
     EXPECT_EQ(doc.document, document);
     EXPECT_EQ(doc.pub_id, 5u);
     EXPECT_EQ(log.size(), 1u);  // one frame, not one per chunk
@@ -297,12 +318,11 @@ TEST(EventLoopTransport, LargeFrameSurvivesShortWrites) {
     // the client is still asleep.
     const std::string state(900 * 1024, 's');
     transport.set_delivery_handler([&](NodeId, const Message& message) {
-        if (message.type != "req") return;
-        Message reply;
-        reply.type = "handover";
-        reply.size_bytes = static_cast<std::uint32_t>(state.size());
-        reply.payload = ariadne::msg::Handover{state};
-        transport.unicast(0, message.source, std::move(reply));
+        if (message.type() != ariadne::wire::MsgType::kRequest) return;
+        transport.unicast(
+            0, message.source,
+            Message{.payload = ariadne::wire::Handover{state},
+                    .size_bytes = static_cast<std::uint32_t>(state.size())});
     });
     runner.start();
 
@@ -421,17 +441,16 @@ TEST(EventLoopTransport, WriteQueueBackpressureShedsFrames) {
     transport.set_metrics(&registry);
     const std::string blob(16 * 1024, 'b');
     transport.set_delivery_handler([&](NodeId, const Message& message) {
-        if (message.type != "req") return;
+        if (message.type() != ariadne::wire::MsgType::kRequest) return;
         // 32 × 16 KB against a 64 KB queue limit, enqueued back-to-back
         // within one handler call — before the reactor flushes anything —
         // so only the first few frames fit and the rest must be shed
         // rather than queued without bound.
         for (int i = 0; i < 32; ++i) {
-            Message reply;
-            reply.type = "handover";
-            reply.size_bytes = static_cast<std::uint32_t>(blob.size());
-            reply.payload = ariadne::msg::Handover{blob};
-            transport.unicast(0, message.source, std::move(reply));
+            transport.unicast(
+                0, message.source,
+                Message{.payload = ariadne::wire::Handover{blob},
+                        .size_bytes = static_cast<std::uint32_t>(blob.size())});
         }
     });
     runner.start();
