@@ -1007,9 +1007,10 @@ void DiscoveryNetwork::handle_request(NodeId self, const Request& request) {
 
     const std::uint64_t id = request.request_id;
     if (pending.local_satisfied) {
-        // Answer after the (virtual) service time equal to the real compute.
+        // Answer once the service time equal to the real compute is
+        // charged (see Transport::charge_compute).
         state.pending.emplace(id, std::move(pending));
-        transport_->schedule(compute_ms, [this, self, id] {
+        transport_->charge_compute(compute_ms, [this, self, id] {
             auto& stored = nodes_[self]->pending;
             const auto it = stored.find(id);
             if (it == stored.end()) return;
@@ -1024,7 +1025,7 @@ void DiscoveryNetwork::handle_request(NodeId self, const Request& request) {
     pending.directories_asked = static_cast<std::uint32_t>(targets.size());
     state.pending.emplace(id, std::move(pending));
 
-    transport_->schedule(compute_ms, [this, self, id, targets] {
+    transport_->charge_compute(compute_ms, [this, self, id, targets] {
         auto& stored = nodes_[self]->pending;
         const auto it = stored.find(id);
         if (it == stored.end()) return;
@@ -1067,8 +1068,9 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Forward& forward) {
     for (const auto& hits : reply.per_capability) {
         hit_count += static_cast<std::uint32_t>(hits.size());
     }
-    transport_->schedule(compute, [this, self, origin, reply = std::move(reply),
-                             hit_count]() mutable {
+    transport_->charge_compute(compute, [this, self, origin,
+                                         reply = std::move(reply),
+                                         hit_count]() mutable {
         send(self, origin, std::move(reply), 16 + hit_count * kHitWireBytes);
     });
 }

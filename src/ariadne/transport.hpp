@@ -25,7 +25,11 @@
 //                 event time on the simulator, steady-clock real time on
 //                 the socket loop. schedule() fires on that same clock,
 //                 never before its delay has elapsed, and never
-//                 concurrently with a delivery.
+//                 concurrently with a delivery. The service-time model
+//                 lives in charge_compute(): a directory's measured match
+//                 time is charged on the virtual clock (the simulator
+//                 delays the answer by it) and is already paid on the
+//                 wall clock (the socket loop answers at once).
 //   Backpressure— send paths never block the reactor. The simulator's
 //                 queue is unbounded (virtual time is free); the socket
 //                 transport bounds each connection's write queue and
@@ -35,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "ariadne/transport_types.hpp"
@@ -83,6 +88,16 @@ public:
     /// Schedules `action` on the transport thread `delay_ms` from now.
     virtual void schedule(net::SimTime delay_ms,
                           std::function<void()> action) = 0;
+
+    /// Charges `compute_ms` of service time for work the caller has just
+    /// done, then runs `then` on the transport thread. A virtual clock
+    /// has not advanced during that work, so the default waits it out
+    /// with schedule(); a wall clock already has, and may run `then`
+    /// before returning.
+    virtual void charge_compute(net::SimTime compute_ms,
+                                std::function<void()> then) {
+        schedule(compute_ms, std::move(then));
+    }
 
     /// Drives the transport for `duration_ms` of its clock: virtual time
     /// on the simulator, real wall time on the event loop.

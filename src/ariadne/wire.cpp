@@ -190,8 +190,7 @@ ErrorInfo parse_error(std::string message) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const Payload& message) {
-    std::vector<std::uint8_t> out;
+void encode_into(const Payload& message, std::vector<std::uint8_t>& out) {
     put_u8(out, kMagic0);
     put_u8(out, kMagic1);
     put_u8(out, kVersion);
@@ -268,6 +267,11 @@ std::vector<std::uint8_t> encode(const Payload& message) {
             // ElectAppoint and SummaryPull carry no fields.
         },
         message);
+}
+
+std::vector<std::uint8_t> encode(const Payload& message) {
+    std::vector<std::uint8_t> out;
+    encode_into(message, out);
     return out;
 }
 

@@ -238,6 +238,10 @@ struct WireMessage {
 /// Serializes one message; the header's type byte is type_of(payload).
 std::vector<std::uint8_t> encode(const Payload& payload);
 
+/// encode(payload), appended to `out` (whose existing bytes are kept), so
+/// a caller can serialize behind its own framing without a second copy.
+void encode_into(const Payload& payload, std::vector<std::uint8_t>& out);
+
 /// Serializes a message. `type` must match the payload alternative
 /// (SARIADNE_EXPECTS enforces it).
 std::vector<std::uint8_t> encode(const WireMessage& message);

@@ -55,6 +55,8 @@ EventLoopTransport::EventLoopTransport(EventLoopConfig config)
     : config_(std::move(config)),
       epoch_(std::chrono::steady_clock::now()),
       conns_(config_.max_connections + 1) {
+    poll_fds_.reserve(conns_.size() + 1);
+    poll_slots_.reserve(conns_.size());
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw_errno("socket");
     const int one = 1;
@@ -154,6 +156,12 @@ void EventLoopTransport::schedule(SimTime delay_ms,
                        next_timer_seq_++, std::move(action)});
 }
 
+void EventLoopTransport::charge_compute(SimTime /*compute_ms*/,
+                                        std::function<void()> then) {
+    // The wall clock advanced while the caller computed; nothing is owed.
+    then();
+}
+
 void EventLoopTransport::post(std::function<void()> fn) {
     {
         std::lock_guard<support::RankedMutex> guard(post_mutex_);
@@ -200,8 +208,7 @@ bool EventLoopTransport::idle() const {
     for (const Connection& conn : conns_) {
         if (conn.live() && !conn.write_queue.empty()) return false;
     }
-    std::lock_guard<support::RankedMutex> guard(
-        const_cast<support::RankedMutex&>(post_mutex_));
+    std::lock_guard<support::RankedMutex> guard(post_mutex_);
     return posted_.empty();
 }
 
@@ -209,25 +216,27 @@ bool EventLoopTransport::idle() const {
 
 void EventLoopTransport::enqueue_frame(NodeId to, const Message& msg) {
     Connection& conn = conns_[to];
-    const std::vector<std::uint8_t> body = ariadne::wire::encode(msg.payload);
-    if (body.size() > config_.max_frame_bytes) {
+    // Encode straight into the frame, behind room for the length prefix.
+    std::vector<std::uint8_t> frame(kFramePrefixBytes);
+    ariadne::wire::encode_into(msg.payload, frame);
+    const std::size_t body_size = frame.size() - kFramePrefixBytes;
+    if (body_size > config_.max_frame_bytes) {
         if (metrics_.oversized_frames) metrics_.oversized_frames->inc();
         return;
     }
-    if (conn.queued_bytes + body.size() > config_.write_queue_limit_bytes) {
+    if (conn.queued_bytes + body_size > config_.write_queue_limit_bytes) {
         if (metrics_.backpressure_drops) metrics_.backpressure_drops->inc();
         return;
     }
-    std::vector<std::uint8_t> frame(kFramePrefixBytes + body.size());
-    write_le32(frame.data(), static_cast<std::uint32_t>(body.size()));
-    std::memcpy(frame.data() + kFramePrefixBytes, body.data(), body.size());
-    conn.queued_bytes += frame.size();
+    write_le32(frame.data(), static_cast<std::uint32_t>(body_size));
+    const std::size_t frame_size = frame.size();
+    conn.queued_bytes += frame_size;
     if (metrics_.write_queue_bytes) {
-        metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame.size()));
+        metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame_size));
     }
     conn.write_queue.push_back(std::move(frame));
     if (metrics_.frames_sent) metrics_.frames_sent->inc();
-    stats_.bytes_transmitted += kFramePrefixBytes + body.size();
+    stats_.bytes_transmitted += frame_size;
     stats_.link_transmissions += 1;
 }
 
@@ -313,30 +322,42 @@ void EventLoopTransport::deliver_inbound(NodeId from, Message msg) {
 void EventLoopTransport::read_ready(NodeId slot) {
     Connection& conn = conns_[slot];
     while (conn.live()) {
-        const std::size_t old_size = conn.read_buf.size();
-        conn.read_buf.resize(old_size + kReadChunkBytes);
+        // Make room for one chunk past read_end: slide the unconsumed
+        // bytes to the front, and grow (zero-filling only the new tail)
+        // when a partial frame still leaves too little room.
+        if (conn.read_buf.size() - conn.read_end < kReadChunkBytes) {
+            if (conn.read_pos > 0) {
+                std::memmove(conn.read_buf.data(),
+                             conn.read_buf.data() + conn.read_pos,
+                             conn.read_end - conn.read_pos);
+                conn.read_end -= conn.read_pos;
+                conn.read_pos = 0;
+            }
+            if (conn.read_buf.size() - conn.read_end < kReadChunkBytes) {
+                conn.read_buf.resize(conn.read_end + kReadChunkBytes);
+            }
+        }
         const ssize_t got =
-            ::recv(conn.fd, conn.read_buf.data() + old_size, kReadChunkBytes, 0);
+            ::recv(conn.fd, conn.read_buf.data() + conn.read_end,
+                   kReadChunkBytes, 0);
         if (got < 0) {
-            conn.read_buf.resize(old_size);
             if (errno == EAGAIN || errno == EWOULDBLOCK) break;
             if (errno == EINTR) continue;
             close_connection(slot);
             return;
         }
         if (got == 0) {  // orderly peer close
-            conn.read_buf.resize(old_size);
             close_connection(slot);
             return;
         }
-        conn.read_buf.resize(old_size + static_cast<std::size_t>(got));
+        conn.read_end += static_cast<std::size_t>(got);
         if (metrics_.bytes_received) {
             metrics_.bytes_received->inc(static_cast<std::uint64_t>(got));
         }
         stats_.bytes_transmitted += static_cast<std::uint64_t>(got);
 
         // Extract every complete frame in the buffer.
-        while (conn.read_buf.size() - conn.read_pos >= kFramePrefixBytes) {
+        while (conn.read_end - conn.read_pos >= kFramePrefixBytes) {
             const std::uint32_t frame_len =
                 read_le32(conn.read_buf.data() + conn.read_pos);
             if (frame_len > config_.max_frame_bytes) {
@@ -344,8 +365,7 @@ void EventLoopTransport::read_ready(NodeId slot) {
                 close_connection(slot);
                 return;
             }
-            if (conn.read_buf.size() - conn.read_pos <
-                kFramePrefixBytes + frame_len) {
+            if (conn.read_end - conn.read_pos < kFramePrefixBytes + frame_len) {
                 break;  // partial frame; wait for more bytes
             }
             const std::span<const std::uint8_t> datagram(
@@ -363,13 +383,9 @@ void EventLoopTransport::read_ready(NodeId slot) {
                                           .size_bytes = frame_len});
             if (!conn.live()) return;  // handler may have closed us
         }
-        // Compact the consumed prefix once per read burst.
-        if (conn.read_pos > 0) {
-            conn.read_buf.erase(conn.read_buf.begin(),
-                                conn.read_buf.begin() +
-                                    static_cast<std::ptrdiff_t>(conn.read_pos));
-            conn.read_pos = 0;
-        }
+        // A fully consumed buffer rewinds for free; a partial frame waits
+        // for the compaction above.
+        if (conn.read_pos == conn.read_end) conn.read_pos = conn.read_end = 0;
         if (static_cast<std::size_t>(got) < kReadChunkBytes) break;
     }
 }
@@ -401,8 +417,8 @@ void EventLoopTransport::accept_ready() {
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         Connection& conn = conns_[slot];
         conn.fd = fd;
-        conn.read_buf.clear();
         conn.read_pos = 0;
+        conn.read_end = 0;
         conn.write_queue.clear();
         conn.write_off = 0;
         conn.queued_bytes = 0;
@@ -424,8 +440,8 @@ void EventLoopTransport::close_connection(NodeId slot) {
         metrics_.write_queue_bytes->sub(
             static_cast<std::int64_t>(conn.queued_bytes));
     }
-    conn.read_buf.clear();
     conn.read_pos = 0;
+    conn.read_end = 0;
     conn.write_queue.clear();
     conn.write_off = 0;
     conn.queued_bytes = 0;
@@ -488,12 +504,12 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
     }
     if (wait_ms < 0) wait_ms = 0;
 
-    std::vector<pollfd> fds;
-    fds.reserve(conns_.size() + 2);
+    std::vector<pollfd>& fds = poll_fds_;
+    std::vector<NodeId>& fd_slots = poll_slots_;
+    fds.clear();
+    fd_slots.clear();
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    std::vector<NodeId> fd_slots;
-    fd_slots.reserve(conns_.size());
     for (NodeId slot = 1; slot < conns_.size(); ++slot) {
         Connection& conn = conns_[slot];
         if (!conn.live()) continue;

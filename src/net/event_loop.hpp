@@ -9,7 +9,8 @@
 // every live connection (any ttl >= 1 — one hop covers the star).
 //
 // Framing: u32 little-endian length prefix + one wire datagram. Reads go
-// through a per-connection bounded buffer into wire-codec decoding; a
+// through a per-connection bounded buffer into wire-codec decoding (it
+// grows only when a frame outgrows it and is compacted in place); a
 // frame longer than max_frame_bytes or one that fails to decode closes
 // the connection (counted under transport.oversized_frames /
 // transport.decode_errors — a peer that corrupts its framing once can
@@ -33,7 +34,14 @@
 // kTransportQueue, woken through a self-pipe), request_stop(), and the
 // async-signal-safe stop_fd() (a signal handler writes one byte to it —
 // the SIGTERM drain path of sariadne_daemon).
+//
+// Service time: charge_compute() runs its continuation at once. The wall
+// clock already advanced while the protocol matched, so a directory's
+// answer is queued inside the delivery that asked for it instead of
+// waiting on a timer for the next poll wake-up.
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -104,6 +112,8 @@ public:
     void broadcast(NodeId from, std::uint32_t ttl_hops, Message msg) override;
     SimTime now() const override;
     void schedule(SimTime delay_ms, std::function<void()> action) override;
+    void charge_compute(SimTime compute_ms,
+                        std::function<void()> then) override;
     void run_for(SimTime duration_ms) override;
     bool idle() const override;
     std::size_t node_count() const override {
@@ -122,8 +132,12 @@ public:
 private:
     struct Connection {
         int fd = -1;
+        /// Received bytes live in [read_pos, read_end); the tail past
+        /// read_end is spare room for the next recv, so the buffer is
+        /// grown (and zero-filled) only when a frame outgrows it.
         std::vector<std::uint8_t> read_buf;
         std::size_t read_pos = 0;  ///< consumed prefix of read_buf
+        std::size_t read_end = 0;  ///< end of the received bytes
         std::deque<std::vector<std::uint8_t>> write_queue;
         std::size_t write_off = 0;  ///< sent prefix of write_queue.front()
         std::size_t queued_bytes = 0;
@@ -188,7 +202,14 @@ private:
     TrafficStats stats_;
     Metrics metrics_;
 
-    support::RankedMutex post_mutex_{support::LockRank::kTransportQueue};
+    /// step()'s poll set, reused across iterations: the wake pipe, the
+    /// listener (while open), then one entry per live connection, whose
+    /// slots poll_slots_ lists in the same order.
+    std::vector<pollfd> poll_fds_;
+    std::vector<NodeId> poll_slots_;
+
+    mutable support::RankedMutex post_mutex_{
+        support::LockRank::kTransportQueue};
     std::vector<std::function<void()>> posted_;
 };
 

@@ -75,6 +75,10 @@ public:
         const int one = 1;
         if (fd_ >= 0) {
             ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+            // A frame that never comes fails the test instead of hanging it.
+            timeval tv{};
+            tv.tv_sec = 10;
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         }
     }
 
@@ -278,6 +282,14 @@ TEST(EventLoopTransport, RewritesForwardOriginToConnectionId) {
     EXPECT_EQ(parsed.document, "<request/>");
 }
 
+ariadne::wire::WireMessage publish_message(std::string document,
+                                           std::uint64_t pub_id) {
+    ariadne::wire::WireMessage publish;
+    publish.type = ariadne::wire::MsgType::kPublish;
+    publish.payload = ariadne::wire::PublishDoc{std::move(document), pub_id};
+    return publish;
+}
+
 TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
     DeliveryLog log;
     LoopRunner runner{EventLoopConfig{}};
@@ -288,10 +300,7 @@ TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
     TestClient client(runner.transport.local_port());
     ASSERT_TRUE(client.connected());
     const std::string document(4096, 'd');
-    ariadne::wire::WireMessage publish;
-    publish.type = ariadne::wire::MsgType::kPublish;
-    publish.payload = ariadne::wire::PublishDoc{document, 5};
-    const auto bytes = TestClient::frame(publish);
+    const auto bytes = TestClient::frame(publish_message(document, 5));
 
     // Dribble the frame: a split inside the length prefix, then two body
     // chunks, with pauses so each arrives as a separate read.
@@ -308,6 +317,76 @@ TEST(EventLoopTransport, ReassemblesFrameFromPartialWrites) {
     EXPECT_EQ(doc.document, document);
     EXPECT_EQ(doc.pub_id, 5u);
     EXPECT_EQ(log.size(), 1u);  // one frame, not one per chunk
+}
+
+TEST(EventLoopTransport, FrameBurstAcrossReadChunksArrivesInOrder) {
+    // The reactor reads at most 64 KiB per recv into a buffer it compacts
+    // in place. Build a burst of ~150 KiB of back-to-back frames where one
+    // frame ends exactly on the 64 KiB mark, and send its last frame in
+    // two writes.
+    constexpr std::size_t kChunk = 64 * 1024;
+    const std::size_t overhead =
+        TestClient::frame(publish_message("", 0)).size();
+    std::vector<std::uint8_t> stream;
+    std::vector<std::string> documents;
+    const auto append = [&](std::string document) {
+        const auto framed =
+            TestClient::frame(publish_message(document, documents.size() + 1));
+        stream.insert(stream.end(), framed.begin(), framed.end());
+        documents.push_back(std::move(document));
+    };
+    const auto filler = [&] {
+        const std::size_t i = documents.size();
+        return std::string(500 + (i * 373) % 3000,
+                           static_cast<char>('a' + i % 26));
+    };
+    while (stream.size() + 4000 < kChunk) append(filler());
+    append(std::string(kChunk - stream.size() - overhead, 'Z'));
+    ASSERT_EQ(stream.size(), kChunk);
+    while (stream.size() < kChunk + 80 * 1024) append(filler());
+    append(std::string(6000, 'L'));
+    const std::size_t split = stream.size() - 3000;
+
+    DeliveryLog log;
+    LoopRunner runner{EventLoopConfig{}};
+    runner.transport.set_delivery_handler(
+        [&](NodeId, const Message& message) { log.push(message); });
+    TestClient client(runner.transport.local_port());
+    ASSERT_TRUE(client.connected());
+
+    // The writer starts before the reactor, so the kernel already holds
+    // more than one chunk when the first recv runs: that recv takes
+    // exactly the first 64 KiB, which ends on a frame boundary.
+    std::thread writer([&] { client.send_bytes(stream.data(), split); });
+    std::this_thread::sleep_for(50ms);
+    runner.start();
+    writer.join();
+
+    // Everything but the last frame arrives; its head waits in the buffer
+    // until the second write completes it.
+    ASSERT_TRUE(log.wait_for_size(documents.size() - 1, 5000ms));
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(log.size(), documents.size() - 1);
+    client.send_bytes(stream.data() + split, stream.size() - split);
+
+    ASSERT_TRUE(log.wait_for_size(documents.size(), 5000ms));
+    ASSERT_EQ(log.size(), documents.size());
+    for (std::size_t i = 0; i < documents.size(); ++i) {
+        const Message delivered = log.at(i);
+        const auto* doc =
+            std::get_if<ariadne::wire::PublishDoc>(&delivered.payload);
+        ASSERT_NE(doc, nullptr) << "frame " << i;
+        EXPECT_EQ(doc->pub_id, i + 1) << "frame " << i;
+        EXPECT_EQ(doc->document, documents[i]) << "frame " << i;
+    }
+}
+
+TEST(EventLoopTransport, ChargeComputeRunsContinuationAtOnce) {
+    EventLoopTransport transport{EventLoopConfig{}};
+    bool ran = false;
+    transport.charge_compute(5.0, [&] { ran = true; });
+    EXPECT_TRUE(ran);
+    EXPECT_TRUE(transport.idle());  // no timer was armed
 }
 
 TEST(EventLoopTransport, LargeFrameSurvivesShortWrites) {
@@ -547,6 +626,16 @@ TEST(SimTransportEquivalence, ConvenienceCtorMatchesExplicitTransport) {
     EXPECT_EQ(via_convenience.sim_bytes, via_explicit.sim_bytes);
 }
 
+TEST(SimTransportEquivalence, ChargeComputeFiresAfterComputeMs) {
+    ariadne::SimTransport transport(Topology::grid(2, 2));
+    transport.run_for(10);
+    double fired_at = -1;
+    transport.charge_compute(2.5, [&] { fired_at = transport.now(); });
+    EXPECT_LT(fired_at, 0);  // virtual time is owed, so not inline
+    transport.run_for(100);
+    EXPECT_DOUBLE_EQ(fired_at, 12.5);
+}
+
 TEST(SimTransportEquivalence, TransportAccessorsForwardToSimulator) {
     auto kb = make_kb();
     ariadne::DiscoveryNetwork network(Topology::grid(2, 2),
@@ -557,6 +646,68 @@ TEST(SimTransportEquivalence, TransportAccessorsForwardToSimulator) {
     // The escape hatch reaches the simulator for fault/topology control.
     ariadne::sim(network).topology().set_up(3, false);
     EXPECT_FALSE(network.transport().is_up(3));
+}
+
+// --- DiscoveryNetwork on the socket transport ------------------------------
+
+/// Reads frames until a Response arrives, skipping the directory's
+/// advertisements, acks and summary pushes.
+ariadne::wire::Response next_response(TestClient& client) {
+    while (!::testing::Test::HasFailure()) {
+        auto frame = client.read_frame();
+        if (auto* response =
+                std::get_if<ariadne::wire::Response>(&frame.payload)) {
+            return *response;
+        }
+    }
+    return {};
+}
+
+TEST(EventLoopDirectory, AnswersSatisfiedRequestInsideItsDelivery) {
+    auto kb = make_kb();
+    auto owned = std::make_unique<EventLoopTransport>(EventLoopConfig{});
+    EventLoopTransport& loop = *owned;
+    ariadne::DiscoveryNetwork network(std::move(owned),
+                                      ariadne::ProtocolConfig{}, kb);
+    network.appoint_directory(0);
+
+    TestClient client(loop.local_port());
+    ASSERT_TRUE(client.connected());
+    desc::ServiceRequest request;
+    request.requester = "pda";
+    request.capabilities.push_back(th::get_video_stream());
+    ariadne::wire::WireMessage satisfiable;
+    satisfiable.type = ariadne::wire::MsgType::kRequest;
+    satisfiable.payload =
+        ariadne::wire::Request{1, 0, desc::serialize_request(request)};
+    ariadne::wire::WireMessage malformed;
+    malformed.type = ariadne::wire::MsgType::kRequest;
+    malformed.payload = ariadne::wire::Request{2, 0, "<not-a-request"};
+
+    // One write, so one recv hands the reactor all three frames and it
+    // delivers them back to back: the publish, a request the directory
+    // satisfies locally, and a malformed request it answers unsatisfied
+    // on the spot. A timer cannot fire between two deliveries of one
+    // read, so the satisfied answer leads only if it was queued inside
+    // its own delivery, with no timer involved.
+    std::vector<std::uint8_t> burst;
+    for (const auto& message :
+         {publish_message(desc::serialize_service(th::workstation_service()),
+                          0),
+          satisfiable, malformed}) {
+        const auto framed = TestClient::frame(message);
+        burst.insert(burst.end(), framed.begin(), framed.end());
+    }
+    client.send_bytes(burst.data(), burst.size());
+    loop.run_for(200);
+
+    const auto first = next_response(client);
+    const auto second = next_response(client);
+    EXPECT_EQ(first.request_id, 1u);
+    EXPECT_TRUE(first.satisfied);
+    EXPECT_FALSE(first.hits.empty());
+    EXPECT_EQ(second.request_id, 2u);
+    EXPECT_FALSE(second.satisfied);
 }
 
 }  // namespace

@@ -36,6 +36,13 @@ struct BodyEvent {
         kAlloc,       // new / make_unique / make_shared / std::vector / std::string
         kThrow,       // throw token
     };
+
+    // Events start from (kind, offset) and fill their kind-specific fields
+    // afterwards; as partial aggregate init that trips GCC's
+    // -Wmissing-field-initializers, which -DSARIADNE_WERROR=ON makes fatal.
+    BodyEvent(Kind event_kind, std::size_t event_offset)
+        : kind(event_kind), offset(event_offset) {}
+
     Kind kind;
     std::size_t offset = 0;  // into SourceFile::code
     // kGuard
