@@ -56,6 +56,10 @@ struct RawHit {
     int semantic_distance = 0;
 };
 
+/// Copies arena-backed hits into caller-owned MatchHits (the conversion
+/// behind the owning query_all wrappers).
+std::vector<MatchHit> to_match_hits(const support::ArenaVec<RawHit>& raw);
+
 using VertexId = std::uint32_t;
 inline constexpr VertexId kNoVertex = 0xFFFFFFFFu;
 
@@ -144,29 +148,22 @@ public:
     std::size_t remove_service(ServiceId service);
 
     /// The paper's query algorithm: probe roots; on a match descend through
-    /// successors collecting matching vertices; return the hits with the
-    /// minimum semantic distance (all entries of the best vertices).
-    std::vector<MatchHit> query(const ResolvedCapability& request,
-                                matching::DistanceOracle& oracle,
-                                MatchStats& stats) const;
-
-    /// Same traversal, but returns the entries of *every* matching vertex
-    /// (still pruning non-matching sub-hierarchies). Used when hits must
-    /// additionally pass QoS/context constraints, so the closest admissible
-    /// advertisement may not be the globally closest one.
-    std::vector<MatchHit> query_all(const ResolvedCapability& request,
-                                    matching::DistanceOracle& oracle,
-                                    MatchStats& stats) const;
-
-    /// The zero-allocation traversal behind both query flavors: identical
-    /// probe order, pruning and stats to query_all, but every piece of
-    /// scratch (visited map, BFS frontier, doom bitset, hit names) lives
-    /// in `arena`, and hits append to the caller's arena-backed list as
-    /// RawHits. Never resets the arena — the caller owns reset points.
+    /// successors, pruning non-matching sub-hierarchies, and append the
+    /// entries of *every* matching vertex to the caller's arena-backed list
+    /// as RawHits. Selection (best tier, top-k, max-distance) is the
+    /// caller's job. Every piece of scratch (visited map, BFS frontier,
+    /// doom bitset, hit names) lives in `arena`; never resets the arena —
+    /// the caller owns reset points.
     void query_all_into(const ResolvedCapability& request,
                         matching::DistanceOracle& oracle, MatchStats& stats,
                         support::Arena& arena,
                         support::ArenaVec<RawHit>& hits) const;
+
+    /// Owning wrapper over query_all_into (resets the thread's scratch
+    /// arena): every matching entry, any distance.
+    std::vector<MatchHit> query_all(const ResolvedCapability& request,
+                                    matching::DistanceOracle& oracle,
+                                    MatchStats& stats) const;
 
     std::vector<VertexId> root_ids() const;
     std::vector<VertexId> leaf_ids() const;

@@ -85,29 +85,23 @@ public:
         ServiceId service,
         const std::vector<FlatSet<OntologyIndex>>& signatures);
 
-    /// Queries all candidate DAGs (signature intersects the request's
-    /// ontology set) and returns the hits with the globally minimal
-    /// semantic distance. Thread-safe against concurrent inserts/removals.
-    std::vector<MatchHit> query(const ResolvedCapability& request,
-                                matching::DistanceOracle& oracle,
-                                MatchStats& stats) const;
-
-    /// All matching hits across candidate DAGs, any distance (for
-    /// constraint-filtered and top-k selection).
-    std::vector<MatchHit> query_all(const ResolvedCapability& request,
-                                    matching::DistanceOracle& oracle,
-                                    MatchStats& stats) const;
-
-    /// Zero-allocation variant: appends every matching hit as RawHits into
-    /// the caller's arena-backed list (names pinned into `arena` under each
-    /// shard's reader lock). Identical traversal, pruning and stats to
-    /// query_all; the caller owns arena reset points. All selection
-    /// (best-tier, top-k, max-distance) happens on the RawHits afterwards —
-    /// query() is equivalent to the minimal-distance tier of this result.
+    /// The one shard walk: queries every candidate DAG (signature
+    /// intersects the request's ontology set) and appends every matching
+    /// hit, any distance, as RawHits into the caller's arena-backed list
+    /// (names pinned into `arena` under each shard's reader lock). The
+    /// caller owns arena reset points; all selection (best-tier, top-k,
+    /// max-distance) happens on the RawHits afterwards. Thread-safe
+    /// against concurrent inserts/removals.
     void query_all_into(const ResolvedCapability& request,
                         matching::DistanceOracle& oracle, MatchStats& stats,
                         support::Arena& arena,
                         support::ArenaVec<RawHit>& hits) const;
+
+    /// Owning wrapper over query_all_into (resets the thread's scratch
+    /// arena).
+    std::vector<MatchHit> query_all(const ResolvedCapability& request,
+                                    matching::DistanceOracle& oracle,
+                                    MatchStats& stats) const;
 
     std::size_t dag_count() const noexcept;
     std::size_t entry_count() const noexcept;

@@ -408,9 +408,10 @@ void SemanticDirectory::run_query(
         out.per_capability.resize(resolved.size());
     }
     for (std::size_t i = 0; i < resolved.size(); ++i) {
-        query_capability_into(resolved[i], constraints, options, out.stats,
-                              out.per_capability[i]);
+        match_one_into(resolved[i], constraints, options, out.stats,
+                       out.per_capability[i]);
     }
+    accumulate_lifetime(out.stats);
     apply_require_all(out, options);
     out.timing.match_ms = stopwatch.elapsed_ms();
     if (metrics_.queries) metrics_.queries->inc();
@@ -419,43 +420,17 @@ void SemanticDirectory::run_query(
     }
 }
 
-std::vector<MatchHit> SemanticDirectory::query_capability(
-    const desc::ResolvedCapability& capability,
-    const desc::ServiceRequest* constraints, const QueryOptions& options,
-    MatchStats& stats) const {
-    std::vector<MatchHit> hits;
-    query_capability_into(capability, constraints, options, stats, hits);
-    return hits;
-}
-
-void SemanticDirectory::query_capability_into(
+void SemanticDirectory::match_one_into(
     const desc::ResolvedCapability& capability,
     const desc::ServiceRequest* constraints, const QueryOptions& options,
     MatchStats& stats, std::vector<MatchHit>& out) const {
-    matching::EncodedOracle oracle(*kb_);
     // Callers that resolved against the bare registry carry no code
     // signature and take the per-pair oracle path at each vertex, with
     // mask/emptiness quick rejects only (the geometry needs both sides'
     // codes). Signing a copy here would cost more than the walk saves;
     // resolve through the KnowledgeBase to get the batched kernel.
-    MatchStats local;
-    match_one_into(capability, constraints, options, oracle, local, out);
-    local.concept_queries = oracle.queries();
-    stats.capability_matches += local.capability_matches;
-    stats.concept_queries += local.concept_queries;
-    stats.dags_visited += local.dags_visited;
-    stats.dags_pruned += local.dags_pruned;
-    stats.quick_rejects += local.quick_rejects;
-    stats.reachability_prunes += local.reachability_prunes;
-    stats.scratch_allocs += local.scratch_allocs;
-    accumulate_lifetime(local);
-}
+    matching::EncodedOracle oracle(*kb_);
 
-void SemanticDirectory::match_one_into(
-    const desc::ResolvedCapability& capability,
-    const desc::ServiceRequest* constraints, const QueryOptions& options,
-    matching::DistanceOracle& oracle, MatchStats& stats,
-    std::vector<MatchHit>& out) const {
     // All scratch for this capability lives in the thread's arena; reset
     // recycles the chunks previous queries grew, and the chunk-count delta
     // is the query's allocation bill (0 steady-state, gated in CI).
@@ -465,9 +440,6 @@ void SemanticDirectory::match_one_into(
 
     support::ArenaVec<RawHit> hits(arena);
     dags_.query_all_into(capability, oracle, stats, arena, hits);
-    // (The former dags_.query() fast path is subsumed: per-DAG best-tier
-    // merging visits exactly the vertices query_all_into visits, so stats
-    // are identical and selection below reproduces its result.)
 
     // max_distance is *inclusive*: a hit at exactly max_distance survives.
     // This is the only distance-bound filter site on any query path — the
@@ -576,6 +548,7 @@ void SemanticDirectory::match_one_into(
                                    hits[i].capability_name.size());
         dst.semantic_distance = hits[i].semantic_distance;
     }
+    stats.concept_queries += oracle.queries();
     stats.scratch_allocs += arena.chunk_allocs() - allocs_before;
 }
 

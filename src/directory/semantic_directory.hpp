@@ -6,10 +6,10 @@
 // Bloom-filter summary of its content that the distributed protocol
 // exchanges between directories.
 //
-// Thread safety: publish / publish_xml / remove / query* /
-// query_capability and the introspection counters may be called from any
-// number of threads concurrently. The capability-DAG index is sharded
-// with per-shard reader–writer locks (see DagIndex), so queries — pure
+// Thread safety: publish / publish_xml / remove / query* and the
+// introspection counters may be called from any number of threads
+// concurrently. The capability-DAG index is sharded with per-shard
+// reader–writer locks (see DagIndex), so queries — pure
 // reads over interval codes — run fully in parallel and only contend
 // with publishes touching the same shard; the service table and the
 // Bloom summary carry their own locks. Two operations are excluded from
@@ -193,22 +193,6 @@ public:
                         const std::vector<desc::ResolvedCapability>& resolved,
                         const QueryOptions& options, QueryResult& out) const;
 
-    /// Matches one resolved capability — the unit the parallel query path
-    /// of DiscoveryEngine fans across its worker pool. `constraints`, when
-    /// non-null, applies that request's QoS/context/conversation filters.
-    /// Work counters are accumulated into `stats`. Thread-safe.
-    std::vector<MatchHit> query_capability(
-        const desc::ResolvedCapability& capability,
-        const desc::ServiceRequest* constraints, const QueryOptions& options,
-        MatchStats& stats) const;
-
-    /// Reuse variant: fills `out` (cleared first) instead of returning a
-    /// fresh vector, recycling its element strings.
-    void query_capability_into(const desc::ResolvedCapability& capability,
-                               const desc::ServiceRequest* constraints,
-                               const QueryOptions& options, MatchStats& stats,
-                               std::vector<MatchHit>& out) const;
-
     // --- introspection ---------------------------------------------------
     std::size_t service_count() const;
     std::size_t capability_count() const { return dags_.entry_count(); }
@@ -271,17 +255,20 @@ public:
 
 private:
     /// The per-capability matching kernel behind every query entry point:
-    /// one arena-scratch DAG traversal, then max-distance compaction,
-    /// constraint filtering and top-k / best-tier selection on the RawHits
-    /// before materializing into `out` (capacity-recycling assign).
+    /// one arena-scratch DAG traversal under a fresh EncodedOracle, then
+    /// max-distance compaction, constraint filtering (`constraints`, when
+    /// non-null, carries the request's QoS/context/conversation filters)
+    /// and top-k / best-tier selection on the RawHits before materializing
+    /// into `out` (capacity-recycling assign). Work counters are added to
+    /// `stats`.
     void match_one_into(const desc::ResolvedCapability& capability,
                         const desc::ServiceRequest* constraints,
-                        const QueryOptions& options,
-                        matching::DistanceOracle& oracle, MatchStats& stats,
+                        const QueryOptions& options, MatchStats& stats,
                         std::vector<MatchHit>& out) const;
 
     /// Shared body of the query_* entry points: matches every capability
-    /// into `out` (recycled), applies require_all, stamps timing/metrics.
+    /// into `out` (recycled), applies require_all, stamps timing/metrics
+    /// and folds the query's work counters into the lifetime totals.
     void run_query(const desc::ServiceRequest* constraints,
                    const std::vector<desc::ResolvedCapability>& resolved,
                    const QueryOptions& options, QueryResult& out) const;

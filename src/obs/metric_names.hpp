@@ -17,14 +17,10 @@ namespace sariadne::obs::names {
 
 // --- engine.* (core/discovery_engine.hpp) -------------------------------
 inline constexpr std::string_view kEngineDiscoveries = "engine.discoveries";
-inline constexpr std::string_view kEngineDiscoveriesParallel =
-    "engine.discoveries{mode=\"parallel\"}";
 inline constexpr std::string_view kEngineDiscoveriesSatisfied =
     "engine.discoveries_satisfied";
 inline constexpr std::string_view kEngineDiscoveriesUnsatisfied =
     "engine.discoveries_unsatisfied";
-inline constexpr std::string_view kEnginePoolTasks = "engine.pool_tasks";
-inline constexpr std::string_view kEnginePoolWorkers = "engine.pool_workers";
 inline constexpr std::string_view kEngineDiscoverMs = "engine.discover_ms";
 
 // --- directory.* (directory/semantic_directory.hpp) ---------------------

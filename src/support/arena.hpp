@@ -258,7 +258,7 @@ private:
 
 /// The per-thread scratch arena used by the query hot path. Thread-local
 /// so concurrent queries never share scratch; reset at each query entry
-/// point (SemanticDirectory::query_capability_into, CapabilityDag::insert).
+/// point (SemanticDirectory::match_one_into, CapabilityDag::insert).
 inline Arena& query_scratch_arena() {
     thread_local Arena arena;
     return arena;

@@ -1,6 +1,6 @@
 // Facade API redesign coverage: QueryOptions (top_k, max_distance,
-// require_all_capabilities, parallel), the PublishReceipt return type, and
-// the non-throwing try_publish / try_discover entry points.
+// require_all_capabilities), the PublishReceipt return type, and the
+// non-throwing try_publish / try_discover entry points.
 #include <gtest/gtest.h>
 
 #include "core/discovery_engine.hpp"
@@ -172,26 +172,27 @@ TEST_F(RankedProvidersFixture, RequireAllCapabilitiesIsAllOrNothing) {
     EXPECT_TRUE(strict[1].empty());
 }
 
-TEST_F(RankedProvidersFixture, ParallelDiscoverMatchesSequentialAnswer) {
+TEST_F(RankedProvidersFixture, MultiCapabilityDiscoverMatchesDirectoryQuery) {
     desc::ServiceRequest request = video_request();
     desc::Capability second = th::get_video_stream();
     second.name = "SecondNeed";
     request.capabilities.push_back(second);
 
-    QueryOptions parallel;
-    parallel.parallel = true;
-    parallel.top_k = 3;
-    QueryOptions sequential = parallel;
-    sequential.parallel = false;
+    QueryOptions options;
+    options.top_k = 3;
 
-    const auto seq = engine_.discover(request, sequential);
-    const auto par = engine_.discover(request, parallel);
-    ASSERT_EQ(par.size(), seq.size());
-    for (std::size_t c = 0; c < seq.size(); ++c) {
-        ASSERT_EQ(par[c].size(), seq[c].size());
-        for (std::size_t h = 0; h < seq[c].size(); ++h) {
-            EXPECT_EQ(par[c][h].service_name, seq[c][h].service_name);
-            EXPECT_EQ(par[c][h].semantic_distance, seq[c][h].semantic_distance);
+    const auto rows = engine_.discover(request, options);
+    const auto direct = engine_.directory().query(request, options);
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_EQ(direct.per_capability.size(), rows.size());
+    for (std::size_t c = 0; c < rows.size(); ++c) {
+        ASSERT_EQ(rows[c].size(), 3u);
+        ASSERT_EQ(direct.per_capability[c].size(), rows[c].size());
+        for (std::size_t h = 0; h < rows[c].size(); ++h) {
+            const auto& hit = direct.per_capability[c][h];
+            EXPECT_EQ(rows[c][h].service_name, hit.service_name);
+            EXPECT_EQ(rows[c][h].capability_name, hit.capability_name);
+            EXPECT_EQ(rows[c][h].semantic_distance, hit.semantic_distance);
         }
     }
 }

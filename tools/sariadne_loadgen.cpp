@@ -1,9 +1,9 @@
 // sariadne_loadgen — multi-threaded publish/query load generator for
-// sariadne_daemon. Workers run on the support::ThreadPool, each holding
-// its own TCP connection and speaking the wire codec directly (u32-LE
-// length prefix + ariadne/wire datagram — no DiscoveryNetwork on the
-// client side, so the daemon's framing and codec are exercised by an
-// independent implementation). Per-operation latency is measured from
+// sariadne_daemon. Each worker is one std::async task that holds its own
+// TCP connection and speaks the wire codec directly (u32-LE length
+// prefix + ariadne/wire datagram — no DiscoveryNetwork on the client
+// side, so the daemon's framing and codec are exercised by an independent
+// implementation). Per-operation latency is measured from
 // frame write to matching pub-ack / response, reduced to p50/p99 and
 // throughput via bench_util, and upserted into BENCH_daemon.json.
 //
@@ -47,7 +47,6 @@
 #include "bench/bench_util.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "workload/ontology_gen.hpp"
 #include "workload/service_gen.hpp"
 
@@ -407,13 +406,12 @@ int main(int argc, char** argv) {
 
         warm_directory(options, docs);
 
-        support::ThreadPool pool(options.threads);
         std::vector<std::future<WorkerResult>> futures;
         futures.reserve(options.threads);
         const auto wall_start = Clock::now();
         for (std::size_t worker = 0; worker < options.threads; ++worker) {
-            futures.push_back(pool.submit(
-                [&options, &docs, worker] {
+            futures.push_back(std::async(
+                std::launch::async, [&options, &docs, worker] {
                     return run_worker(options, docs, worker);
                 }));
         }
