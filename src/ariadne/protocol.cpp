@@ -8,6 +8,7 @@
 #include "description/amigos_io.hpp"
 #include "description/resolved.hpp"
 #include "directory/state_transfer.hpp"
+#include "directory/syntactic_directory.hpp"
 #include "obs/metric_names.hpp"
 #include "summary/summary_wire.hpp"
 #include "support/catching.hpp"
@@ -17,7 +18,6 @@
 
 namespace sariadne::ariadne {
 
-using directory::MatchHit;
 using net::kNoNode;
 using net::Message;
 using net::NodeId;
@@ -447,6 +447,15 @@ bool DiscoveryNetwork::is_directory(NodeId node) const {
     return nodes_[node]->is_directory;
 }
 
+NodeId DiscoveryNetwork::serving_directory(NodeId node) const {
+    const NodeId known = nodes_[node]->known_directory;
+    if (known != kNoNode && nodes_[known]->is_directory &&
+        transport_->is_up(known)) {
+        return known;
+    }
+    return directory_for(node);
+}
+
 NodeId DiscoveryNetwork::directory_for(NodeId node) const {
     const auto dist = transport_->hop_distances(node);
     NodeId best = kNoNode;
@@ -484,11 +493,7 @@ std::uint64_t DiscoveryNetwork::publish_service(NodeId provider,
         send_publish(provider, pub_id);
         return pub_id;
     }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     if (target == kNoNode) {
         state.deferred_publishes.push_back(std::move(document_xml));
         if (metrics_.deferred_publishes) metrics_.deferred_publishes->add(1);
@@ -516,11 +521,7 @@ std::uint64_t DiscoveryNetwork::publish_batch(
         transport_->schedule(config_.republish_period_ms,
                              [this, provider] { republish(provider); });
     }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     if (target == kNoNode) {
         for (auto& doc : documents) {
             state.deferred_publishes.push_back(std::move(doc));
@@ -542,43 +543,13 @@ std::uint64_t DiscoveryNetwork::publish_batch(
     return 0;
 }
 
-Result<std::uint64_t> DiscoveryNetwork::try_publish_service(
-    NodeId provider, std::string document_xml) {
-    return support::catching<std::uint64_t>([&]() -> std::uint64_t {
-        if (provider >= nodes_.size()) {
-            throw LookupError("publish from unknown node " +
-                              std::to_string(provider));
-        }
-        // Validate before mutating protocol state, so a malformed document
-        // never enters owned_services / the retransmit machinery.
-        (void)desc::parse_service(document_xml);
-        return publish_service(provider, std::move(document_xml));
-    });
-}
-
-Result<std::uint64_t> DiscoveryNetwork::try_discover(NodeId client,
-                                                     std::string request_xml) {
-    return support::catching<std::uint64_t>([&]() -> std::uint64_t {
-        if (client >= nodes_.size()) {
-            throw LookupError("discover from unknown node " +
-                              std::to_string(client));
-        }
-        (void)desc::parse_request(request_xml);
-        return discover(client, std::move(request_xml));
-    });
-}
-
 void DiscoveryNetwork::send_publish(NodeId provider, std::uint64_t pub_id) {
     NodeState& state = *nodes_[provider];
     const auto it = state.outstanding_publishes.find(pub_id);
     if (it == state.outstanding_publishes.end()) return;  // acked meanwhile
     NodeState::OutstandingPublish& outstanding = it->second;
 
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     outstanding.awaiting_ack = target != kNoNode;
     if (target != kNoNode) {
         send(provider, target, PublishDoc{outstanding.document, pub_id},
@@ -813,11 +784,7 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
     }
 
     NodeState& state = *nodes_[client];
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(client);
-    }
+    const NodeId target = serving_directory(client);
     if (target == kNoNode) {
         state.deferred_requests.emplace_back(id, std::move(request_xml));
         if (metrics_.deferred_requests) metrics_.deferred_requests->add(1);
@@ -828,52 +795,31 @@ std::uint64_t DiscoveryNetwork::discover(NodeId client, std::string request_xml)
     return id;
 }
 
-std::vector<std::vector<MatchHit>> DiscoveryNetwork::local_query(
-    directory::SemanticDirectory* semdir,
-    directory::SyntacticDirectory* syndir, const std::string& document,
-    double& compute_ms) {
-    if (semdir != nullptr) {
+const DiscoveryNetwork::PreparedRequest* DiscoveryNetwork::local_query(
+    NodeState& state, const std::string& document) {
+    directory::QueryResult& out = local_query_scratch_;
+    if (state.semdir != nullptr) {
         // Skip the XML parse and signature resolution on repeat documents
         // (the dominant per-request costs on a hot directory — rediscovery
         // and retries resend the same bytes); matching always runs fresh
         // against the current directory content, into the reactor's reused
         // result scratch so a pipelined burst allocates no result buffers.
         const PreparedRequest& prepared = prepared_request(document);
-        semdir->query_prepared(prepared.request, prepared.resolved, {},
-                               local_query_scratch_);
-        compute_ms = local_query_scratch_.timing.total_ms();
-        std::vector<std::vector<MatchHit>> per_capability;
-        per_capability.reserve(local_query_scratch_.per_capability.size());
-        for (const auto& hits : local_query_scratch_.per_capability) {
-            per_capability.emplace_back(hits.begin(), hits.end());
-        }
-        return per_capability;
+        state.semdir->query_prepared(prepared.request, prepared.resolved, {},
+                                     out);
+        return &prepared;
     }
-    directory::QueryTiming timing;
-    auto hits = syndir->query_xml(document, timing);
-    compute_ms = timing.total_ms();
-    std::vector<std::vector<MatchHit>> per_capability;
-    per_capability.push_back(std::move(hits));
-    return per_capability;
+    out.timing = directory::QueryTiming{};
+    out.per_capability.resize(1);
+    out.per_capability.front() = state.syndir->query_xml(document, out.timing);
+    return nullptr;
 }
-
-namespace {
-
-bool all_satisfied(const std::vector<std::vector<MatchHit>>& per_capability) {
-    if (per_capability.empty()) return false;
-    for (const auto& hits : per_capability) {
-        if (hits.empty()) return false;
-    }
-    return true;
-}
-
-}  // namespace
 
 std::vector<NodeId> DiscoveryNetwork::forward_targets(
-    NodeId self, const std::string& request_xml) {
+    NodeId self, const PreparedRequest* prepared) {
     std::vector<NodeId> targets;
     NodeState& state = *nodes_[self];
-    if (config_.protocol == Protocol::kAriadne) {
+    if (prepared == nullptr) {
         for (const NodeId dir : directories()) {
             if (dir != self) targets.push_back(dir);
         }
@@ -884,15 +830,8 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
         // proves some cached capability could subsume every required
         // output/property concept. Build the probe once per request;
         // covers() is a bitmap intersection per peer.
-        summary::RequestProbe probe;
-        try {
-            const desc::ServiceRequest request =
-                desc::parse_request(request_xml);
-            const auto resolved = desc::resolve_request(request, *kb_);
-            probe = summary::build_request_probe(resolved, *kb_);
-        } catch (const Error&) {
-            return targets;  // unresolvable request: nothing to forward
-        }
+        const summary::RequestProbe probe =
+            summary::build_request_probe(prepared->resolved, *kb_);
         for (const auto& [peer, peer_summary] : state.peer_exact_summaries) {
             if (!nodes_[peer]->is_directory) continue;
             if (peer_summary.covers(probe)) {
@@ -919,19 +858,13 @@ std::vector<NodeId> DiscoveryNetwork::forward_targets(
     }
     // S-Ariadne: only peers whose Bloom summary covers the request's
     // ontology URIs.
+    FlatSet<onto::OntologyIndex> all;
+    for (const auto& cap : prepared->resolved) {
+        all = all.united_with(cap.ontologies);
+    }
     std::vector<std::string> uris;
-    try {
-        const desc::ServiceRequest request = desc::parse_request(request_xml);
-        const auto resolved = desc::resolve_request(request, *kb_);
-        FlatSet<onto::OntologyIndex> all;
-        for (const auto& cap : resolved) {
-            all = all.united_with(cap.ontologies);
-        }
-        for (const onto::OntologyIndex index : all) {
-            uris.push_back(kb_->registry().at(index).uri());
-        }
-    } catch (const Error&) {
-        return targets;  // unresolvable request: nothing to forward
+    for (const onto::OntologyIndex index : all) {
+        uris.push_back(kb_->registry().at(index).uri());
     }
     for (const auto& [peer, summary] : state.peer_summaries) {
         if (nodes_[peer]->is_directory && summary.possibly_covers(uris)) {
@@ -983,25 +916,22 @@ void DiscoveryNetwork::handle_request(NodeId self, const Request& request) {
     pending.client = request.client;
     pending.request_xml = request.document;
 
-    double compute_ms = 0;
     // The request document is peer input: a malformed one is answered
     // unsatisfied (and counted) instead of unwinding the event loop, so a
     // hostile client cannot take the directory down.
-    auto queried =
-        support::catching<std::vector<std::vector<MatchHit>>>([&] {
-            return local_query(state.semdir.get(), state.syndir.get(),
-                               request.document, compute_ms);
-        });
+    const auto queried = support::catching<const PreparedRequest*>(
+        [&] { return local_query(state, request.document); });
     if (!queried) {
         if (metrics_.malformed_requests) metrics_.malformed_requests->inc();
         send(self, request.client,
              Response{request.request_id, {}, false, 0.0, 0}, 16);
         return;
     }
-    auto per_capability = std::move(queried).value();
+    const directory::QueryResult& local = local_query_scratch_;
+    const double compute_ms = local.timing.total_ms();
     pending.compute_ms = compute_ms;
-    pending.local_satisfied = all_satisfied(per_capability);
-    for (auto& hits : per_capability) {
+    pending.local_satisfied = local.fully_satisfied();
+    for (const auto& hits : local.per_capability) {
         pending.hits.insert(pending.hits.end(), hits.begin(), hits.end());
     }
 
@@ -1020,7 +950,7 @@ void DiscoveryNetwork::handle_request(NodeId self, const Request& request) {
         return;
     }
 
-    const auto targets = forward_targets(self, request.document);
+    const auto targets = forward_targets(self, queried.value());
     pending.outstanding = targets.size();
     pending.directories_asked = static_cast<std::uint32_t>(targets.size());
     state.pending.emplace(id, std::move(pending));
@@ -1051,14 +981,14 @@ void DiscoveryNetwork::handle_forward(NodeId self, const Forward& forward) {
         // Forwarded documents come from a peer directory but are still
         // client-authored: contain malformed ones as an empty reply so the
         // origin's `outstanding` count always settles.
-        const auto queried =
-            support::catching<bool>([&] {
-                reply.per_capability =
-                    local_query(state.semdir.get(), state.syndir.get(),
-                                forward.document, reply.compute_ms);
-                return true;
-            });
-        if (!queried && metrics_.malformed_requests) {
+        const auto queried = support::catching<bool>([&] {
+            (void)local_query(state, forward.document);
+            return true;
+        });
+        if (queried) {
+            reply.per_capability = local_query_scratch_.per_capability;
+            reply.compute_ms = local_query_scratch_.timing.total_ms();
+        } else if (metrics_.malformed_requests) {
             metrics_.malformed_requests->inc();
         }
     }
@@ -1133,11 +1063,7 @@ void DiscoveryNetwork::republish(NodeId provider) {
                        [this, provider] { republish(provider); });
         return;
     }
-    NodeId target = state.known_directory;
-    if (target == kNoNode || !nodes_[target]->is_directory ||
-        !transport_->is_up(target)) {
-        target = directory_for(provider);
-    }
+    const NodeId target = serving_directory(provider);
     if (target != kNoNode) {
         for (const std::string& doc : state.owned_services) {
             send(provider, target, PublishDoc{doc},

@@ -39,11 +39,9 @@
 #include "ariadne/transport.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "directory/semantic_directory.hpp"
-#include "directory/syntactic_directory.hpp"
 #include "reasoner/knowledge_base.hpp"
 #include "obs/metrics.hpp"
 #include "summary/interval_summary.hpp"
-#include "support/result.hpp"
 #include "support/rng.hpp"
 
 // Fwd decl only: the Topology-taking convenience constructor is
@@ -194,21 +192,11 @@ public:
     /// read after the simulation ran.
     std::uint64_t discover(net::NodeId client, std::string request_xml);
 
-    /// Non-throwing publish for daemon-facing callers (peer input is
-    /// untrusted): validates the document before touching protocol state
-    /// and maps parse/lookup failures to ErrorInfo via support/catching —
-    /// consistent with DiscoveryEngine::try_publish.
-    Result<std::uint64_t> try_publish_service(net::NodeId provider,
-                                              std::string document_xml);
-
-    /// Non-throwing discover; the malformed-request twin of discover().
-    Result<std::uint64_t> try_discover(net::NodeId client,
-                                       std::string request_xml);
-
     /// A request document prepared for matching: parsed once and resolved
     /// against the knowledge base, so repeat documents (periodic
     /// rediscovery, retries, forwarded copies) skip both the XML parse and
-    /// the per-capability signature resolution on the query hot path.
+    /// the per-capability signature resolution on the query hot path. The
+    /// same resolution also drives summary routing (forward_targets).
     struct PreparedRequest {
         desc::ServiceRequest request;
         std::vector<desc::ResolvedCapability> resolved;
@@ -290,6 +278,10 @@ private:
         int retries_left = 0;
     };
 
+    /// Where `node` sends publishes and requests: the directory it last
+    /// heard advertise while that is still a live directory, else the
+    /// nearest one (directory_for); kNoNode when none is reachable.
+    net::NodeId serving_directory(net::NodeId node) const;
     /// Unicasts `payload`, charged `size_bytes` by the traffic model.
     void send(net::NodeId from, net::NodeId to, wire::Payload payload,
               std::uint32_t size_bytes);
@@ -327,16 +319,19 @@ private:
     void handle_forward_reply(net::NodeId self, net::NodeId source,
                               const wire::ForwardResponse& reply);
     void finish_request(net::NodeId directory_node, PendingRequest& pending);
+    /// Peer directories an unsatisfied request is forwarded to. Ariadne
+    /// (`prepared` is nullptr) floods every other directory; S-Ariadne asks
+    /// only the peers whose summary covers the capabilities `prepared` —
+    /// the memo entry the local query matched — already resolved.
     std::vector<net::NodeId> forward_targets(net::NodeId self,
-                                             const std::string& request_xml);
-    /// Runs the local query of one directory (semantic or syntactic);
-    /// returns per-capability hits and fills `compute_ms` with the real
-    /// time spent. The semantic branch replays the memoized parse+resolve
-    /// into the reactor's reused QueryResult scratch.
-    std::vector<std::vector<directory::MatchHit>> local_query(
-        directory::SemanticDirectory* semdir,
-        directory::SyntacticDirectory* syndir, const std::string& document,
-        double& compute_ms);
+                                             const PreparedRequest* prepared);
+    /// Runs one directory's local query into local_query_scratch_, whose
+    /// `timing` holds the real time spent. A semantic directory matches the
+    /// memoized prepared request and returns that memo entry; a syntactic
+    /// one parses `document`, its hits become the scratch's single row, and
+    /// it returns nullptr. Callers copy the hits out of the scratch once.
+    const PreparedRequest* local_query(NodeState& state,
+                                       const std::string& document);
 
     /// Cached registry handles; all null when uninstrumented.
     struct Metrics {
@@ -388,7 +383,7 @@ private:
     /// documents in any deployment are few, so eviction order is moot).
     std::unordered_map<std::string, PreparedRequest> request_parse_cache_;
     /// Reactor-thread query scratch: one QueryResult reused across every
-    /// local semantic query, so a pipelined request burst recycles the hit
+    /// local query, so a pipelined request burst recycles the hit
     /// vectors/strings instead of reallocating them per message.
     directory::QueryResult local_query_scratch_;
     std::uint64_t next_request_id_ = 1;

@@ -32,7 +32,7 @@
 //                 wall clock (the socket loop answers at once).
 //   Backpressure— send paths never block the reactor. The simulator's
 //                 queue is unbounded (virtual time is free); the socket
-//                 transport bounds each connection's write queue and
+//                 transport bounds each connection's unsent output and
 //                 sheds frames (counted under transport.* metrics) when a
 //                 peer stops draining.
 #pragma once

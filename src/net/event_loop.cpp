@@ -132,6 +132,7 @@ void EventLoopTransport::set_metrics(obs::MetricsRegistry* registry) {
     metrics_.frames_received =
         &registry->counter(obs::names::kTransportFramesReceived);
     metrics_.bytes_sent = &registry->counter(obs::names::kTransportBytesSent);
+    metrics_.send_calls = &registry->counter(obs::names::kTransportSendCalls);
     metrics_.bytes_received =
         &registry->counter(obs::names::kTransportBytesReceived);
     metrics_.decode_errors =
@@ -206,7 +207,7 @@ std::size_t EventLoopTransport::degree(NodeId node) const {
 bool EventLoopTransport::idle() const {
     if (!timers_.empty() || !local_.empty()) return false;
     for (const Connection& conn : conns_) {
-        if (conn.live() && !conn.write_queue.empty()) return false;
+        if (conn.live() && !conn.write_buf.empty()) return false;
     }
     std::lock_guard<support::RankedMutex> guard(post_mutex_);
     return posted_.empty();
@@ -215,26 +216,28 @@ bool EventLoopTransport::idle() const {
 // --- send path -------------------------------------------------------------
 
 void EventLoopTransport::enqueue_frame(NodeId to, const Message& msg) {
-    Connection& conn = conns_[to];
-    // Encode straight into the frame, behind room for the length prefix.
-    std::vector<std::uint8_t> frame(kFramePrefixBytes);
-    ariadne::wire::encode_into(msg.payload, frame);
-    const std::size_t body_size = frame.size() - kFramePrefixBytes;
+    std::vector<std::uint8_t>& out = conns_[to].write_buf;
+    // Encode straight onto the end of the output, behind room for the
+    // length prefix; a rejected frame is truncated away again.
+    const std::size_t start = out.size();
+    out.resize(start + kFramePrefixBytes);
+    ariadne::wire::encode_into(msg.payload, out);
+    const std::size_t body_size = out.size() - start - kFramePrefixBytes;
     if (body_size > config_.max_frame_bytes) {
+        out.resize(start);
         if (metrics_.oversized_frames) metrics_.oversized_frames->inc();
         return;
     }
-    if (conn.queued_bytes + body_size > config_.write_queue_limit_bytes) {
+    if (start + body_size > config_.write_queue_limit_bytes) {
+        out.resize(start);
         if (metrics_.backpressure_drops) metrics_.backpressure_drops->inc();
         return;
     }
-    write_le32(frame.data(), static_cast<std::uint32_t>(body_size));
-    const std::size_t frame_size = frame.size();
-    conn.queued_bytes += frame_size;
+    write_le32(out.data() + start, static_cast<std::uint32_t>(body_size));
+    const std::size_t frame_size = out.size() - start;
     if (metrics_.write_queue_bytes) {
         metrics_.write_queue_bytes->add(static_cast<std::int64_t>(frame_size));
     }
-    conn.write_queue.push_back(std::move(frame));
     if (metrics_.frames_sent) metrics_.frames_sent->inc();
     stats_.bytes_transmitted += frame_size;
     stats_.link_transmissions += 1;
@@ -275,30 +278,28 @@ void EventLoopTransport::broadcast(NodeId from, std::uint32_t ttl_hops,
 
 void EventLoopTransport::flush_writes(NodeId slot) {
     Connection& conn = conns_[slot];
-    while (!conn.write_queue.empty()) {
-        const std::vector<std::uint8_t>& front = conn.write_queue.front();
-        const std::size_t remaining = front.size() - conn.write_off;
-        const ssize_t sent =
-            ::send(conn.fd, front.data() + conn.write_off, remaining,
-                   MSG_NOSIGNAL);
-        if (sent < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-            if (errno == EINTR) continue;
-            close_connection(slot);
-            return;
-        }
-        if (metrics_.bytes_sent) {
-            metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
-        }
-        conn.queued_bytes -= static_cast<std::size_t>(sent);
-        if (metrics_.write_queue_bytes) {
-            metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
-        }
-        conn.write_off += static_cast<std::size_t>(sent);
-        if (conn.write_off < front.size()) return;  // short write
-        conn.write_off = 0;
-        conn.write_queue.pop_front();
+    // One send offers the kernel every unsent byte; what a full socket
+    // does not take waits for the next POLLOUT.
+    ssize_t sent = 0;
+    do {
+        sent = ::send(conn.fd, conn.write_buf.data(), conn.write_buf.size(),
+                      MSG_NOSIGNAL);
+        if (metrics_.send_calls) metrics_.send_calls->inc();
+    } while (sent < 0 && errno == EINTR);
+    if (sent < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) close_connection(slot);
+        return;
     }
+    if (metrics_.bytes_sent) {
+        metrics_.bytes_sent->inc(static_cast<std::uint64_t>(sent));
+    }
+    if (metrics_.write_queue_bytes) {
+        metrics_.write_queue_bytes->sub(static_cast<std::int64_t>(sent));
+    }
+    // Compact the sent prefix away, as read_ready does with consumed
+    // input, so the buffer holds only unsent bytes.
+    conn.write_buf.erase(conn.write_buf.begin(),
+                         conn.write_buf.begin() + sent);
 }
 
 // --- receive path ----------------------------------------------------------
@@ -419,9 +420,7 @@ void EventLoopTransport::accept_ready() {
         conn.fd = fd;
         conn.read_pos = 0;
         conn.read_end = 0;
-        conn.write_queue.clear();
-        conn.write_off = 0;
-        conn.queued_bytes = 0;
+        conn.write_buf.clear();
         ++live_count_;
         if (metrics_.connections_accepted) metrics_.connections_accepted->inc();
         if (metrics_.connections_active) {
@@ -436,15 +435,13 @@ void EventLoopTransport::close_connection(NodeId slot) {
     if (!conn.live()) return;
     ::close(conn.fd);
     conn.fd = -1;
-    if (metrics_.write_queue_bytes && conn.queued_bytes > 0) {
+    if (metrics_.write_queue_bytes && !conn.write_buf.empty()) {
         metrics_.write_queue_bytes->sub(
-            static_cast<std::int64_t>(conn.queued_bytes));
+            static_cast<std::int64_t>(conn.write_buf.size()));
     }
     conn.read_pos = 0;
     conn.read_end = 0;
-    conn.write_queue.clear();
-    conn.write_off = 0;
-    conn.queued_bytes = 0;
+    conn.write_buf.clear();
     --live_count_;
     if (metrics_.connections_closed) metrics_.connections_closed->inc();
     if (metrics_.connections_active) {
@@ -514,7 +511,7 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
         Connection& conn = conns_[slot];
         if (!conn.live()) continue;
         short events = POLLIN;
-        if (!conn.write_queue.empty()) events |= POLLOUT;
+        if (!conn.write_buf.empty()) events |= POLLOUT;
         fds.push_back(pollfd{conn.fd, events, 0});
         fd_slots.push_back(slot);
     }
@@ -564,7 +561,7 @@ void EventLoopTransport::step(SimTime max_wait_ms) {
     // Opportunistic flush: frames enqueued while handling this iteration's
     // deliveries/timers go out now instead of waiting for the next POLLOUT.
     for (NodeId slot = 1; slot < conns_.size(); ++slot) {
-        if (conns_[slot].live() && !conns_[slot].write_queue.empty()) {
+        if (conns_[slot].live() && !conns_[slot].write_buf.empty()) {
             flush_writes(slot);
         }
     }
@@ -595,7 +592,7 @@ void EventLoopTransport::run_until_stopped(double drain_grace_ms) {
     while (now() < drain_deadline) {
         bool pending = false;
         for (const Connection& conn : conns_) {
-            if (conn.live() && !conn.write_queue.empty()) pending = true;
+            if (conn.live() && !conn.write_buf.empty()) pending = true;
         }
         if (!pending) break;
         step(drain_deadline - now());

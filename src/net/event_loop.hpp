@@ -21,10 +21,12 @@
 // direct another peer's responses (or spoof a third node) regardless of
 // what it puts on the wire.
 //
-// Backpressure: writes are queued per connection and flushed as the
-// socket drains; once a connection's queue exceeds
-// write_queue_limit_bytes, new frames for it are shed (counted under
-// transport.backpressure_drops) instead of growing the queue — the
+// Backpressure: each connection keeps one contiguous output buffer of
+// unsent bytes. Frames are encoded straight onto its end, and a flush
+// hands every unsent byte to a single send(2) (transport.send_calls),
+// then compacts the sent prefix away. A frame that would take the unsent
+// bytes past write_queue_limit_bytes is shed (counted under
+// transport.backpressure_drops) instead of growing the buffer — the
 // reactor never blocks on a stalled peer.
 //
 // Threading: run_for()/run_until_stopped() drive everything — accepts,
@@ -45,7 +47,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <string>
@@ -67,7 +68,7 @@ struct EventLoopConfig {
     /// Frames longer than this close the connection before any allocation
     /// sized by the hostile length.
     std::size_t max_frame_bytes = 1u << 20;
-    /// Per-connection write-queue high watermark (backpressure shed point).
+    /// Per-connection cap on unsent output bytes (backpressure shed point).
     std::size_t write_queue_limit_bytes = 4u << 20;
 };
 
@@ -97,7 +98,7 @@ public:
     bool stop_requested() const noexcept { return stop_requested_; }
 
     /// Runs until request_stop() (or a byte on stop_fd()), then drains:
-    /// stops accepting, flushes pending write queues for at most
+    /// stops accepting, flushes unsent output for at most
     /// `drain_grace_ms`, closes every connection and returns.
     void run_until_stopped(double drain_grace_ms = 500);
 
@@ -138,9 +139,8 @@ private:
         std::vector<std::uint8_t> read_buf;
         std::size_t read_pos = 0;  ///< consumed prefix of read_buf
         std::size_t read_end = 0;  ///< end of the received bytes
-        std::deque<std::vector<std::uint8_t>> write_queue;
-        std::size_t write_off = 0;  ///< sent prefix of write_queue.front()
-        std::size_t queued_bytes = 0;
+        /// Framed bytes not yet accepted by the kernel, in send order.
+        std::vector<std::uint8_t> write_buf;
 
         bool live() const noexcept { return fd >= 0; }
     };
@@ -165,6 +165,7 @@ private:
         obs::Counter* frames_sent = nullptr;
         obs::Counter* frames_received = nullptr;
         obs::Counter* bytes_sent = nullptr;
+        obs::Counter* send_calls = nullptr;
         obs::Counter* bytes_received = nullptr;
         obs::Counter* decode_errors = nullptr;
         obs::Counter* oversized_frames = nullptr;

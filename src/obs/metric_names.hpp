@@ -172,6 +172,8 @@ inline constexpr std::string_view kTransportFramesReceived =
     "transport.frames_received";
 inline constexpr std::string_view kTransportBytesSent =
     "transport.bytes_sent";
+inline constexpr std::string_view kTransportSendCalls =
+    "transport.send_calls";
 inline constexpr std::string_view kTransportBytesReceived =
     "transport.bytes_received";
 inline constexpr std::string_view kTransportDecodeErrors =

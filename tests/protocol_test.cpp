@@ -4,6 +4,7 @@
 #include "net/sim_transport.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "description/amigos_io.hpp"
+#include "obs/metric_names.hpp"
 #include "test_helpers.hpp"
 #include "workload/ontology_gen.hpp"
 #include "workload/service_gen.hpp"
@@ -125,6 +126,61 @@ TEST(SAriadne, RemoteDirectoryReachedViaBloomForwarding) {
     ASSERT_TRUE(outcome.answered);
     EXPECT_TRUE(outcome.satisfied);
     EXPECT_GE(outcome.directories_asked, 1u);
+}
+
+TEST(SAriadne, RepeatedRequestIsForwardedFromTheMemoOnEveryBackend) {
+    // The second copy of a document finds its prepared request in the
+    // memo; forwarding must route it exactly like the first, which was
+    // prepared from scratch.
+    for (const auto backend :
+         {summary::SummaryBackend::kBloom, summary::SummaryBackend::kInterval}) {
+        SCOPED_TRACE(backend == summary::SummaryBackend::kBloom ? "bloom"
+                                                                : "interval");
+        auto kb = make_kb();
+        obs::MetricsRegistry registry;
+        ProtocolConfig config = fast_config(Protocol::kSAriadne);
+        config.summary_backend = backend;
+        DiscoveryNetwork network(Topology::grid(9, 1), config, kb, &registry);
+        network.appoint_directory(0);
+        network.appoint_directory(8);
+        network.start();
+        network.run_for(100);
+
+        // Directory 0, nearest to the client, caches nothing; the only
+        // provider sits next to directory 8.
+        network.publish_service(
+            7, desc::serialize_service(th::workstation_service()));
+        network.run_for(3000);
+
+        desc::ServiceRequest request;
+        request.capabilities.push_back(th::get_video_stream());
+        const std::string document = desc::serialize_request(request);
+        auto& forwards = registry.counter(obs::names::kProtocolForwards);
+        std::vector<std::uint64_t> forwarded;
+        const DiscoveryNetwork::PreparedRequest* memo_entry = nullptr;
+        for (int round = 0; round < 2; ++round) {
+            SCOPED_TRACE(round == 0 ? "first request" : "memo hit");
+            const std::uint64_t before = forwards.value();
+            const auto id = network.discover(1, document);
+            network.run_for(3000);
+            forwarded.push_back(forwards.value() - before);
+
+            const DiscoveryOutcome& outcome = network.outcome(id);
+            ASSERT_TRUE(outcome.answered);
+            EXPECT_TRUE(outcome.satisfied);
+            EXPECT_EQ(outcome.directories_asked, 1u);
+            ASSERT_FALSE(outcome.hits.empty());
+            EXPECT_EQ(outcome.hits[0].capability_name, "SendDigitalStream");
+
+            // The entry the first request created is the one the second
+            // request reused (no memo reset or rebuild in between).
+            const auto* entry = &network.prepared_request(document);
+            if (memo_entry == nullptr) memo_entry = entry;
+            EXPECT_EQ(entry, memo_entry);
+        }
+        EXPECT_GE(forwarded[0], 1u);
+        EXPECT_EQ(forwarded[1], forwarded[0]);
+    }
 }
 
 TEST(SAriadne, BloomFilterPrunesIrrelevantDirectories) {

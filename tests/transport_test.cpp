@@ -553,6 +553,51 @@ TEST(EventLoopTransport, WriteQueueBackpressureShedsFrames) {
     EXPECT_GT(drops.value(), 0u);
 }
 
+TEST(EventLoopTransport, FramesQueuedInOneDeliveryLeaveInOneSend) {
+    obs::MetricsRegistry registry;
+    LoopRunner runner{EventLoopConfig{}};
+    auto& transport = runner.transport;
+    transport.set_metrics(&registry);
+    constexpr std::uint64_t kFrames = 32;
+    transport.set_delivery_handler([&](NodeId, const Message& message) {
+        if (message.type() != ariadne::wire::MsgType::kRequest) return;
+        for (std::uint64_t i = 1; i <= kFrames; ++i) {
+            transport.unicast(
+                0, message.source,
+                Message{.payload = ariadne::wire::Response{i, {}, true, 0.0,
+                                                           1},
+                        .size_bytes = 16});
+        }
+    });
+    runner.start();
+
+    auto& send_calls = registry.counter(obs::names::kTransportSendCalls);
+    TestClient client(transport.local_port());
+    ASSERT_TRUE(client.connected());
+    ariadne::wire::WireMessage request;
+    request.type = ariadne::wire::MsgType::kRequest;
+    request.payload = ariadne::wire::Request{1, 0, "<request/>"};
+    client.send_frame(request);
+
+    for (std::uint64_t i = 1; i <= kFrames; ++i) {
+        const auto reply = client.read_frame();
+        ASSERT_EQ(reply.type, ariadne::wire::MsgType::kResponse);
+        EXPECT_EQ(std::get<ariadne::wire::Response>(reply.payload).request_id,
+                  i);
+    }
+    // The counter moves just after the send returns, so the client can
+    // get ahead of it; give the reactor a moment, then demand one call.
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (send_calls.value() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(1ms);
+    }
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(send_calls.value(), 1u);
+    EXPECT_EQ(registry.counter(obs::names::kTransportFramesSent).value(),
+              kFrames);
+}
+
 // --- SimTransport equivalence -------------------------------------------
 
 encoding::KnowledgeBase make_kb() {

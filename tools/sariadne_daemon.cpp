@@ -21,7 +21,7 @@
 //     --drain-ms D      shutdown write-flush grace (default 500)
 //
 // Shutdown: SIGTERM or SIGINT triggers the transport's drain — the
-// listener closes, pending write queues flush for at most --drain-ms,
+// listener closes, unsent output flushes for at most --drain-ms,
 // connections close, and the process exits 0 after printing a traffic
 // summary. The signal handler only write(2)s one byte to the transport's
 // stop fd (async-signal-safe); all real work happens on the loop thread.
